@@ -50,9 +50,10 @@ def test_scheduler_variant_ablation(benchmark):
         original = runner_mod._build_server
         for label, sched_cls in variants.items():
             def build(config, sim, metrics, params, cluster, rng,
-                      _cls=sched_cls):
+                      resilience, _cls=sched_cls):
                 return DoubleFaceServer(sim, metrics, params, cluster, rng,
-                                        reactors=1, scheduler=_cls())
+                                        reactors=1, scheduler=_cls(),
+                                        resilience=resilience)
             runner_mod._build_server = build
             try:
                 results[label] = run_experiment(_tail_config("doubleface"))

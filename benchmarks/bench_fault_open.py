@@ -74,10 +74,11 @@ def collect_metrics(quick: bool = True, seed: int = 42,
                     jobs: int = 1) -> dict:
     """Run the exhibit and flatten the per-architecture headline
     numbers into one metrics dict."""
-    from repro.experiments.figures import fault_open
+    from repro.experiments import run_exhibits
 
     started = time.perf_counter()
-    result = fault_open(quick=quick, seed=seed, jobs=jobs)
+    result = run_exhibits(["fault_open"], quick=quick, seed=seed,
+                          jobs=jobs)["fault_open"]
     wall = time.perf_counter() - started
     metrics: dict = {"exhibit_wall_sec": round(wall, 2)}
     for server, policies in result.data.items():

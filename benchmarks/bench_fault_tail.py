@@ -111,10 +111,11 @@ def collect_metrics(quick: bool = True, seed: int = 42,
                     jobs: int = 1) -> dict:
     """Run the adaptive_hedge exhibit and flatten the headline numbers
     into one metrics dict."""
-    from repro.experiments.figures import adaptive_hedge
+    from repro.experiments import run_exhibits
 
     started = time.perf_counter()
-    result = adaptive_hedge(quick=quick, seed=seed, jobs=jobs)
+    result = run_exhibits(["adaptive_hedge"], quick=quick, seed=seed,
+                          jobs=jobs)["adaptive_hedge"]
     wall = time.perf_counter() - started
     retry = result.data["retry-only"]["p99"]
     global_p95 = result.data["global-p95"]["p99"]

@@ -37,7 +37,7 @@ Measures the hot paths the exhibit harness spends its time in:
   ticker at the default 10 ms period vs the plain run, paired-median
   like the trace ratio.  ``--check`` pins it ≥ ``OBS_OVERHEAD_FLOOR``.
 - ``quick_exhibit_wall_sec`` — one representative end-to-end quick
-  exhibit (``tab3``) through :func:`run_exhibit`.
+  exhibit (``tab3``) through :func:`run_exhibits`.
 
 Each run appends an entry to ``benchmarks/BENCH_core.json`` so future
 PRs can diff events/sec against every earlier recording::
@@ -320,10 +320,10 @@ def bench_obs_overhead(rounds: int = 3, duration: float = 0.5) -> float:
 
 def bench_quick_exhibit() -> float:
     """Wall-clock seconds for one representative quick exhibit."""
-    from repro.experiments.figures import run_exhibit
+    from repro.experiments import run_exhibits
 
     started = time.perf_counter()
-    run_exhibit("tab3", quick=True, seed=42)
+    run_exhibits(["tab3"], quick=True, seed=42)
     return time.perf_counter() - started
 
 

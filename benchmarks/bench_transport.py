@@ -191,8 +191,8 @@ def bench_merge(n_latency: int, n_thread: int, repeats: int) -> dict:
 def bench_pool(transport: str, points: int, jobs: int, n_latency: int,
                n_thread: int, ring_bytes: int = 32 << 20) -> float:
     """End-to-end results/sec through a spawn pool: *points* hand-offs
-    of the prebuilt tail-shaped result, parent decoding each completion
-    (imap_unordered, like the real runner)."""
+    of the prebuilt tail-shaped result, the parent decoding each one as
+    it completes, like the real runner."""
     ctx = multiprocessing.get_context("spawn")
     ring = ShmRing.create(ring_bytes, ctx) if transport == "shm" else None
     spec = ring.spec() if ring is not None else None

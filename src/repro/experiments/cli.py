@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from .figures import EXHIBITS, run_exhibit, run_exhibits
+from .figures import EXHIBITS, run_exhibits
 
 __all__ = ["main"]
 
@@ -124,6 +124,10 @@ def main(argv=None) -> int:
     if args.prom_out and not args.obs:
         print("--prom-out requires --obs", file=sys.stderr)
         return 2
+    if args.exhibit != "all" and args.exhibit not in EXHIBITS:
+        print(f"unknown exhibit {args.exhibit!r}; choose from "
+              f"{sorted(EXHIBITS)} or 'all'", file=sys.stderr)
+        return 2
     if args.profile:
         return _profiled_main(args)
     return _run(args)
@@ -209,40 +213,26 @@ def _write_artifacts(args, results) -> int:
 
 def _run(args) -> int:
     names = sorted(EXHIBITS) if args.exhibit == "all" else [args.exhibit]
-    for name in names:
-        if name not in EXHIBITS:
-            print(f"unknown exhibit {name!r}; choose from "
-                  f"{sorted(EXHIBITS)} or 'all'", file=sys.stderr)
-            return 2
-    trace_kw = dict(trace=args.trace, trace_sample=args.trace_sample,
-                    trace_exemplars=args.trace_exemplars,
-                    obs=args.obs, obs_period=args.obs_period)
-    if len(names) > 1 and args.jobs != 1:
-        # Interleave every requested exhibit's points over one shared
-        # pool: slow tail-window points overlap with cheap tables.
-        started = time.time()
-        results = run_exhibits(names, quick=not args.full, seed=args.seed,
-                               jobs=args.jobs, transport=args.transport,
-                               **trace_kw)
-        elapsed = time.time() - started
-        for name in names:
-            print(results[name].text)
-            print()
-        print(f"[{len(names)} exhibits regenerated (interleaved, "
-              f"jobs={args.jobs}) in {elapsed:.1f}s wall time]")
-        return _write_artifacts(args, [(n, results[n]) for n in names])
-    collected = []
-    for name in names:
-        started = time.time()
-        result = run_exhibit(name, quick=not args.full, seed=args.seed,
-                             jobs=args.jobs, transport=args.transport,
-                             **trace_kw)
-        elapsed = time.time() - started
+    started = time.time()
+
+    def show(name, result) -> None:
+        # Exhibits print as they complete: every exhibit's points share
+        # one pool, so the cheap ones are done long before the tails.
         print(result.text)
-        print(f"[{name} regenerated in {elapsed:.1f}s wall time]")
+        print(f"[{name} regenerated in {time.time() - started:.1f}s "
+              f"wall time]")
         print()
-        collected.append((name, result))
-    return _write_artifacts(args, collected)
+
+    results = run_exhibits(names, quick=not args.full, seed=args.seed,
+                           jobs=args.jobs, transport=args.transport,
+                           trace=args.trace, trace_sample=args.trace_sample,
+                           trace_exemplars=args.trace_exemplars,
+                           obs=args.obs, obs_period=args.obs_period,
+                           on_result=show)
+    if len(names) > 1:
+        print(f"[{len(names)} exhibits regenerated (jobs={args.jobs}) in "
+              f"{time.time() - started:.1f}s wall time]")
+    return _write_artifacts(args, list(results.items()))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,13 +1,18 @@
-"""One function per paper exhibit (figure or table).
+"""Every paper exhibit (figure or table), as data.
 
-Every exhibit *declares* its experiment grid as a flat list of
-(key, :class:`ExperimentConfig`) points, fans the configs out through
-:func:`repro.experiments.parallel.run_experiments` (``jobs`` workers;
-``jobs=1`` is the serial fallback with identical results), and then
-assembles an :class:`ExhibitResult` holding both the rendered text (the
-same rows/series the paper reports) and the raw data (asserted on by
-the benchmark suite).  Results come back in submission order, so the
-assembly step never depends on completion timing.
+An exhibit is an :class:`Exhibit`: ``points(quick, seed)`` declares its
+experiment grid as a flat list of ``(key, ExperimentConfig)`` points,
+and ``render(pairs, quick)`` turns the ``(key, result)`` pairs, in
+declared order, into an :class:`ExhibitResult` holding both the
+rendered text (the same rows/series the paper reports) and the raw data
+(asserted on by the benchmark suite).  :data:`EXHIBITS` registers them.
+
+:func:`run_exhibits` is the one runner.  It applies the trace/obs
+overlays to every declared config, sends all selected exhibits' points
+through one executor (:func:`repro.experiments.parallel.iter_experiments`,
+heaviest first, ``jobs=1`` in-process), collects each point's trace and
+telemetry artifacts, and renders each exhibit as soon as its last point
+is back.  Nothing in this module holds per-run state.
 
 ``quick=True`` (the default, used by the pytest-benchmark harness)
 shrinks measurement windows and grids so the whole suite completes in
@@ -16,52 +21,25 @@ minutes; ``quick=False`` (the CLI's ``--full``) uses the full grids.
 
 from __future__ import annotations
 
-import threading
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from ..faults import FaultConfig, ResilienceConfig
 from ..obs import DEFAULT_OBS_PERIOD, prometheus_snapshot
 from ..sim.params import KB
-from .config import ExperimentConfig
-from .parallel import BatchExecutor, resolve_jobs, run_experiments
+from .config import ExperimentConfig, ExperimentResult
+from .parallel import iter_experiments
 from .report import (normalize, render_breakdown, render_flame,
                      render_series, render_table)
 
-__all__ = ["ExhibitResult", "EXHIBITS", "run_exhibit", "run_exhibits",
-           "fig04", "fig05", "fig07", "fig09", "fig13", "fig14",
-           "fig15", "fig16", "fig17", "tab1", "tab2", "tab3",
-           "fault_tail", "hedging", "fault_open", "ewma_route",
-           "adaptive_hedge"]
+__all__ = ["Exhibit", "ExhibitResult", "EXHIBITS", "run_exhibits"]
 
-#: When set (by :func:`run_exhibits`), every exhibit's point batch is
-#: routed through this shared executor instead of a private pool, so
-#: points from concurrently running exhibits interleave in one global
-#: work queue.  Set before the exhibit threads start and cleared after
-#: they join, never mutated while they run.
-_BATCH_RUNNER: Optional[Callable[[List[ExperimentConfig]], List[Any]]] = None
-
-#: Worker→parent result transport for standalone exhibit runs, set by
-#: :func:`run_exhibit` around the exhibit call (same discipline as
-#: ``_BATCH_RUNNER``: set, run, restore).  ``None`` = auto (shm where
-#: available).  Interleaved runs carry the transport inside their
-#: shared ``BatchExecutor`` instead.
-_TRANSPORT: Optional[str] = None
-
-#: When set (by :func:`run_exhibit` with ``trace=True``), every point
-#: an exhibit declares runs with span tracing forced on
-#: (``{"sample": rate, "exemplars": n, "summaries": {}, "flames": {},
-#: "phases": {}}``), and each point's trace summary, flame
-#: aggregation, and phase windows are stashed under a deterministic
-#: ``label#index (key)`` name for the breakdown/flame tables and the
-#: Chrome export.  Same set/run/restore discipline as ``_TRANSPORT``.
-_TRACE: Optional[Dict[str, Any]] = None
-
-#: When set (by :func:`run_exhibit` with ``obs=True``), every point
-#: runs with the telemetry ticker on (``{"period": s, "snapshots":
-#: {}}``) and each point's Prometheus snapshot is stashed under the
-#: same deterministic name vocabulary as the trace summaries.
-_OBS: Optional[Dict[str, Any]] = None
+Points = List[Tuple[Any, ExperimentConfig]]
+Pairs = List[Tuple[Any, ExperimentResult]]
 
 
 @dataclass
@@ -77,42 +55,12 @@ class ExhibitResult:
         return self.text
 
 
-def _run_points(points: List[Tuple[Any, ExperimentConfig]],
-                jobs: Optional[int]) -> List[Tuple[Any, Any]]:
-    """Run a declared point list; (key, result) pairs in declared order."""
-    trace = _TRACE
-    if trace is not None:
-        points = [(key, replace(config, trace=True,
-                                trace_sample=trace["sample"],
-                                trace_exemplars=trace["exemplars"]))
-                  for key, config in points]
-    obs = _OBS
-    if obs is not None:
-        points = [(key, replace(config, obs=True,
-                                obs_period=obs["period"]))
-                  for key, config in points]
-    runner = _BATCH_RUNNER
-    if runner is not None:
-        results = runner([config for _key, config in points])
-    else:
-        results = run_experiments([config for _key, config in points],
-                                  jobs=jobs, transport=_TRANSPORT)
-    pairs = [(key, result)
-             for (key, _config), result in zip(points, results)]
-    if trace is not None:
-        summaries = trace["summaries"]
-        for (key, config), (_key, result) in zip(points, pairs):
-            if result.trace_summary is not None:
-                name = f"{config.label}#{len(summaries):03d} ({key})"
-                summaries[name] = result.trace_summary
-                trace["flames"][name] = result.flame
-                trace["phases"][name] = result.phases
-    if obs is not None:
-        snapshots = obs["snapshots"]
-        for (key, config), (_key, result) in zip(points, pairs):
-            name = f"{config.label}#{len(snapshots):03d} ({key})"
-            snapshots[name] = prometheus_snapshot(result, label=name)
-    return pairs
+@dataclass(frozen=True)
+class Exhibit:
+    """One exhibit as data: the points it runs and how it renders them."""
+
+    points: Callable[[bool, int], Points]
+    render: Callable[[Pairs, bool], ExhibitResult]
 
 
 def _concurrency_grid(quick: bool) -> List[int]:
@@ -138,32 +86,34 @@ def _closed(server: str, datastore: str, conc: int, fanout: int,
 # Figure 4 — thread-based vs asynchronous drivers per datastore family
 # ---------------------------------------------------------------------------
 
-def fig04(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
+# The async DynamoDB/HBase drivers are Type-1; MongoDB's default async
+# driver is the Type-2b AIO backend.
+_FIG04_FAMILIES = (("dynamodb", "type1"), ("hbase", "type1"),
+                   ("mongodb", "aio"))
+
+
+def _fig04_points(quick: bool, seed: int) -> Points:
     """Throughput vs. workload concurrency for DynamoDB, HBase, and
     MongoDB with thread-based vs. asynchronous drivers (fanout 5,
     0.1 kB responses)."""
+    return [((datastore, label), _closed(
+        kind, datastore, conc, fanout=5, size=100, seed=seed, quick=quick))
+        for datastore, async_kind in _FIG04_FAMILIES
+        for conc in _concurrency_grid(quick)
+        for label, kind in ((f"{datastore}-async", async_kind),
+                            (f"{datastore}-thread", "threadbased"))]
+
+
+def _fig04_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     grid = _concurrency_grid(quick)
-    # The async DynamoDB/HBase drivers are Type-1; MongoDB's default
-    # async driver is the Type-2b AIO backend.
-    families = [("dynamodb", "type1"), ("hbase", "type1"),
-                ("mongodb", "aio")]
-    points: List[Tuple[Any, ExperimentConfig]] = []
-    for datastore, async_kind in families:
-        for conc in grid:
-            for label, kind in ((f"{datastore}-async", async_kind),
-                                (f"{datastore}-thread", "threadbased")):
-                points.append(((datastore, label), _closed(
-                    kind, datastore, conc, fanout=5, size=100, seed=seed,
-                    quick=quick)))
     data: Dict[str, Dict[str, List[float]]] = {
         datastore: {f"{datastore}-async": [], f"{datastore}-thread": []}
-        for datastore, _async_kind in families}
-    for (datastore, label), result in _run_points(points, jobs):
+        for datastore, _async_kind in _FIG04_FAMILIES}
+    for (datastore, label), result in pairs:
         data[datastore][label].append(result.throughput)
     sections = [render_series(
         f"Figure 4 ({datastore}): throughput [req/s] vs concurrency",
-        "conc", grid, data[datastore]) for datastore, _ in families]
+        "conc", grid, data[datastore]) for datastore, _ in _FIG04_FAMILIES]
     return ExhibitResult("fig04", "Thread-based vs asynchronous drivers",
                          "\n\n".join(sections),
                          {"concurrency": grid, **data})
@@ -173,29 +123,31 @@ def fig04(quick: bool = True, seed: int = 42,
 # Figure 5 — MongoDB driver comparison across response sizes
 # ---------------------------------------------------------------------------
 
-def fig05(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
+_FIG05_SIZES = ((20 * KB, "20kB"), (1 * KB, "1kB"), (100, "0.1kB"))
+_FIG05_SERVERS = (("AIOBackend", "aio"), ("NettyBackend", "netty"),
+                  ("Threadbased", "threadbased"))
+
+
+def _fig05_points(quick: bool, seed: int) -> Points:
     """AIOBackend vs NettyBackend vs Threadbased for MongoDB across
     response sizes 20 kB / 1 kB / 0.1 kB (fanout 5)."""
+    return [((size_label, label), _closed(
+        kind, "mongodb", conc, fanout=5, size=size, seed=seed, quick=quick))
+        for size, size_label in _FIG05_SIZES
+        for label, kind in _FIG05_SERVERS
+        for conc in _concurrency_grid(quick)]
+
+
+def _fig05_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     grid = _concurrency_grid(quick)
-    sizes = [(20 * KB, "20kB"), (1 * KB, "1kB"), (100, "0.1kB")]
-    servers = (("AIOBackend", "aio"), ("NettyBackend", "netty"),
-               ("Threadbased", "threadbased"))
-    points: List[Tuple[Any, ExperimentConfig]] = []
-    for size, size_label in sizes:
-        for label, kind in servers:
-            for conc in grid:
-                points.append(((size_label, label), _closed(
-                    kind, "mongodb", conc, fanout=5, size=size, seed=seed,
-                    quick=quick)))
     data: Dict[str, Dict[str, List[float]]] = {
-        size_label: {label: [] for label, _kind in servers}
-        for _size, size_label in sizes}
-    for (size_label, label), result in _run_points(points, jobs):
+        size_label: {label: [] for label, _kind in _FIG05_SERVERS}
+        for _size, size_label in _FIG05_SIZES}
+    for (size_label, label), result in pairs:
         data[size_label][label].append(result.throughput)
     sections = [render_series(
         f"Figure 5 ({size_label} responses): throughput [req/s]",
-        "conc", grid, data[size_label]) for _size, size_label in sizes]
+        "conc", grid, data[size_label]) for _size, size_label in _FIG05_SIZES]
     return ExhibitResult("fig05", "MongoDB drivers across response sizes",
                          "\n\n".join(sections),
                          {"concurrency": grid, **data})
@@ -205,18 +157,20 @@ def fig05(quick: bool = True, seed: int = 42,
 # Table 1 — perf breakdown at 20 kB
 # ---------------------------------------------------------------------------
 
-def tab1(quick: bool = True, seed: int = 42,
-         jobs: Optional[int] = 1) -> ExhibitResult:
+def _tab1_points(quick: bool, seed: int) -> Points:
     """Context switches, running threads, lock and thread-init CPU for
     AIOBackend / NettyBackend / Threadbased (conc 100, fanout 5, 20 kB)."""
     duration = 4.0 if quick else 10.0
-    points = [(label, ExperimentConfig(
+    return [(label, ExperimentConfig(
         server=kind, concurrency=100, fanout=5, response_size=20 * KB,
         warmup=2.0, duration=duration, seed=seed,
         keep_selector_stats=False))
         for label, kind in (("AIOBackend", "aio"), ("NettyBackend", "netty"),
                             ("Threadbased", "threadbased"))]
-    results = dict(_run_points(points, jobs))
+
+
+def _tab1_render(pairs: Pairs, quick: bool) -> ExhibitResult:
+    results = dict(pairs)
     headers = ["metric"] + list(results.keys())
     rows = [
         ["Throughput [req/s]"] + [round(r.throughput) for r in results.values()],
@@ -249,21 +203,25 @@ def tab1(quick: bool = True, seed: int = 42,
 # Figure 7 — AIO vs Netty normalized throughput across fanout (20 kB)
 # ---------------------------------------------------------------------------
 
-def fig07(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
+_FIG07_FANOUTS = (1, 5, 20)
+
+
+def _fig07_points(quick: bool, seed: int) -> Points:
     """Normalized throughput (NettyBackend = 1.0) vs fanout factor at
     20 kB responses, concurrency 100."""
-    fanouts = [1, 5, 20]
     duration = 3.0 if quick else 8.0
-    points: List[Tuple[Any, ExperimentConfig]] = []
-    for fanout in fanouts:
-        for label, kind in (("NettyBackend", "netty"), ("AIOBackend", "aio")):
-            points.append((label, ExperimentConfig(
-                server=kind, concurrency=100, fanout=fanout,
-                response_size=20 * KB, warmup=2.0, duration=duration,
-                seed=seed, keep_selector_stats=False)))
+    return [(label, ExperimentConfig(
+        server=kind, concurrency=100, fanout=fanout,
+        response_size=20 * KB, warmup=2.0, duration=duration,
+        seed=seed, keep_selector_stats=False))
+        for fanout in _FIG07_FANOUTS
+        for label, kind in (("NettyBackend", "netty"), ("AIOBackend", "aio"))]
+
+
+def _fig07_render(pairs: Pairs, quick: bool) -> ExhibitResult:
+    fanouts = list(_FIG07_FANOUTS)
     series: Dict[str, List[float]] = {"NettyBackend": [], "AIOBackend": []}
-    for label, result in _run_points(points, jobs):
+    for label, result in pairs:
         series[label].append(result.throughput)
     norm = normalize(series, "NettyBackend")
     text = render_series(
@@ -275,21 +233,27 @@ def fig07(quick: bool = True, seed: int = 42,
 
 
 # ---------------------------------------------------------------------------
-# Table 2 — select() overhead at 0.1 kB
+# Tables 2 and 3 — select() overhead and reactor counts at 0.1 kB
 # ---------------------------------------------------------------------------
 
-def tab2(quick: bool = True, seed: int = 42,
-         jobs: Optional[int] = 1) -> ExhibitResult:
+def _select_window(quick: bool) -> float:
+    """Measurement window of the select()-counting tables."""
+    return 1.5 if quick else 5.0
+
+
+def _tab2_points(quick: bool, seed: int) -> Points:
     """select() counts and CPU share, AIOBackend vs NettyBackend
     (conc 100, fanout 5, 0.1 kB).  The paper reports a 30 s runtime; we
     report per-30s-equivalent counts."""
-    duration = 1.5 if quick else 5.0
-    points = [(label, ExperimentConfig(
+    return [(label, ExperimentConfig(
         server=kind, concurrency=100, fanout=5, response_size=100,
-        warmup=0.5, duration=duration, seed=seed,
+        warmup=0.5, duration=_select_window(quick), seed=seed,
         keep_selector_stats=False))
         for label, kind in (("AIOBackend", "aio"), ("NettyBackend", "netty"))]
-    results = dict(_run_points(points, jobs))
+
+
+def _tab2_render(pairs: Pairs, quick: bool) -> ExhibitResult:
+    results = dict(pairs)
     headers = ["metric"] + list(results.keys())
     rows = [
         ["Throughput [req/s]"] + [round(r.throughput)
@@ -313,22 +277,23 @@ def tab2(quick: bool = True, seed: int = 42,
                          } for label, r in results.items()},)
 
 
-# ---------------------------------------------------------------------------
-# Table 3 — Netty backend-reactor-count sensitivity
-# ---------------------------------------------------------------------------
+_TAB3_CASES = (("OneCase", 1), ("TwoCase", 2), ("FourCase", 4))
 
-def tab3(quick: bool = True, seed: int = 42,
-         jobs: Optional[int] = 1) -> ExhibitResult:
+
+def _tab3_points(quick: bool, seed: int) -> Points:
     """NettyBackend with 1 / 2 / 4 backend reactors: throughput and
     per-side select() efficiency (conc 100, fanout 5, 0.1 kB)."""
-    duration = 1.5 if quick else 5.0
-    cases = [("OneCase", 1), ("TwoCase", 2), ("FourCase", 4)]
-    points = [(label, ExperimentConfig(
+    return [(label, ExperimentConfig(
         server="netty", backend_reactors=n, concurrency=100, fanout=5,
-        response_size=100, warmup=0.5, duration=duration, seed=seed))
-        for label, n in cases]
-    results = dict(_run_points(points, jobs))
-    scale = 30.0 / duration
+        response_size=100, warmup=0.5, duration=_select_window(quick),
+        seed=seed))
+        for label, n in _TAB3_CASES]
+
+
+def _tab3_render(pairs: Pairs, quick: bool) -> ExhibitResult:
+    results = dict(pairs)
+    scale = 30.0 / _select_window(quick)
+    cases = _TAB3_CASES
 
     def split(r):
         front = [s for s in r.selector_stats if "frontend" in s["name"]]
@@ -374,20 +339,21 @@ def tab3(quick: bool = True, seed: int = 42,
 # Figure 9 — running-thread timelines
 # ---------------------------------------------------------------------------
 
-def fig09(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
+def _fig09_points(quick: bool, seed: int) -> Points:
     """Concurrently-running-thread timeline, NettyBackend vs AIOBackend
     (conc 100, fanout 5, 20 kB)."""
     duration = 4.0 if quick else 10.0
-    sample = 0.1
-    points = [(label, ExperimentConfig(
+    return [(label, ExperimentConfig(
         server=kind, concurrency=100, fanout=5, response_size=20 * KB,
         warmup=2.0, duration=duration, seed=seed,
-        thread_sample_period=sample, keep_selector_stats=False))
+        thread_sample_period=0.1, keep_selector_stats=False))
         for label, kind in (("NettyBackend", "netty"), ("AIOBackend", "aio"))]
+
+
+def _fig09_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     samples = {}
     stats = {}
-    for label, result in _run_points(points, jobs):
+    for label, result in pairs:
         samples[label] = result.thread_samples
         values = [v for (_t, v) in result.thread_samples]
         stats[label] = {
@@ -414,33 +380,42 @@ def fig09(quick: bool = True, seed: int = 42,
 # Figure 13 — DoubleFaceNetty vs baselines across fanout and size
 # ---------------------------------------------------------------------------
 
-def fig13(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
+_FIG13_SERVERS = (("DoubleFaceNetty", "doubleface"), ("NettyBackend", "netty"),
+                  ("AIOBackend", "aio"))
+_FIG13_SIZES = ((100, "0.1kB"), (20 * KB, "20kB"))
+
+
+def _fig13_fanouts(quick: bool) -> List[int]:
+    return [1, 5, 20] if quick else [1, 5, 10, 20]
+
+
+def _fig13_points(quick: bool, seed: int) -> Points:
     """Normalized throughput (DoubleFaceNetty = 1.0) across fanout
     factors 1/5/10/20 at 0.1 kB and 20 kB, concurrency 20."""
-    fanouts = [1, 5, 20] if quick else [1, 5, 10, 20]
-    servers = (("DoubleFaceNetty", "doubleface"), ("NettyBackend", "netty"),
-               ("AIOBackend", "aio"))
-    sizes = ((100, "0.1kB"), (20 * KB, "20kB"))
-    points: List[Tuple[Any, ExperimentConfig]] = []
-    for size, size_label in sizes:
+    points: Points = []
+    for size, size_label in _FIG13_SIZES:
         slow = size >= 4 * KB
         duration = (3.0 if quick else 8.0) if slow else (1.5 if quick else 4.0)
         warmup = 1.5 if slow else 0.5
-        for label, kind in servers:
-            for fanout in fanouts:
+        for label, kind in _FIG13_SERVERS:
+            for fanout in _fig13_fanouts(quick):
                 points.append(((size_label, label), ExperimentConfig(
                     server=kind, concurrency=20, fanout=fanout,
                     response_size=size, warmup=warmup, duration=duration,
                     seed=seed, keep_selector_stats=False)))
+    return points
+
+
+def _fig13_render(pairs: Pairs, quick: bool) -> ExhibitResult:
+    fanouts = _fig13_fanouts(quick)
     throughput: Dict[str, Dict[str, List[float]]] = {
-        size_label: {label: [] for label, _kind in servers}
-        for _size, size_label in sizes}
-    for (size_label, label), result in _run_points(points, jobs):
+        size_label: {label: [] for label, _kind in _FIG13_SERVERS}
+        for _size, size_label in _FIG13_SIZES}
+    for (size_label, label), result in pairs:
         throughput[size_label][label].append(result.throughput)
     sections = []
     data = {}
-    for _size, size_label in sizes:
+    for _size, size_label in _FIG13_SIZES:
         series = throughput[size_label]
         norm = normalize(series, "DoubleFaceNetty")
         data[size_label] = {"throughput": series, "normalized": norm}
@@ -456,46 +431,49 @@ def fig13(quick: bool = True, seed: int = 42,
 # Figure 14 — CPU utilisation under RUBBoS-style open workload
 # ---------------------------------------------------------------------------
 
-def fig14(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
+def _fig14_cases(quick: bool) -> List[tuple]:
+    """(size, label, users grid, think time, request business CPU)."""
+    cases = [(100, "0.1kB", [100, 200, 300, 350], 0.32, 0.5e-3),
+             (20 * KB, "20kB", [100, 200, 300], 6.5, 0.5e-3)]
+    if quick:
+        cases = [(size, label, users[1::2] if label == "0.1kB" else users[::2],
+                  think, cpu)
+                 for size, label, users, think, cpu in cases]
+    return cases
+
+
+def _fig14_points(quick: bool, seed: int) -> Points:
     """CPU utilisation vs. number of emulated users (fanout 20), for
     0.1 kB and 20 kB responses."""
-    servers = (("DoubleFaceNetty", "doubleface"), ("NettyBackend", "netty"),
-               ("AIOBackend", "aio"))
-    cases = [
-        # (size, label, users grid, think time, request business CPU)
-        (100, "0.1kB", [100, 200, 300, 350], 0.32, 0.5e-3),
-        (20 * KB, "20kB", [100, 200, 300], 6.5, 0.5e-3),
-    ]
     duration = 6.0 if quick else 20.0
-    grids: Dict[str, List[int]] = {}
-    points: List[Tuple[Any, ExperimentConfig]] = []
-    for size, size_label, users_grid, think, request_cpu in cases:
-        if quick:
-            users_grid = users_grid[1::2] if size_label == "0.1kB" else users_grid[::2]
-        grids[size_label] = users_grid
-        for label, kind in servers:
-            for users in users_grid:
-                points.append(((size_label, label), ExperimentConfig(
-                    server=kind, workload="open", users=users,
-                    think_time=think, fanout=20, response_size=size,
-                    warmup=2.0, duration=duration, seed=seed,
-                    keep_selector_stats=False,
-                    params={"request_cpu": request_cpu})))
+    return [((size_label, label), ExperimentConfig(
+        server=kind, workload="open", users=users,
+        think_time=think, fanout=20, response_size=size,
+        warmup=2.0, duration=duration, seed=seed,
+        keep_selector_stats=False,
+        params={"request_cpu": request_cpu}))
+        for size, size_label, users_grid, think, request_cpu
+        in _fig14_cases(quick)
+        for label, kind in _FIG13_SERVERS
+        for users in users_grid]
+
+
+def _fig14_render(pairs: Pairs, quick: bool) -> ExhibitResult:
+    cases = _fig14_cases(quick)
     cpu_util: Dict[str, Dict[str, List[float]]] = {
-        size_label: {label: [] for label, _kind in servers}
+        size_label: {label: [] for label, _kind in _FIG13_SERVERS}
         for _size, size_label, *_rest in cases}
-    for (size_label, label), result in _run_points(points, jobs):
+    for (size_label, label), result in pairs:
         cpu_util[size_label][label].append(
             round(100 * result.cpu_utilization, 1))
     sections = []
     data = {}
-    for _size, size_label, *_rest in cases:
-        data[size_label] = {"users": grids[size_label],
+    for _size, size_label, users_grid, *_rest in cases:
+        data[size_label] = {"users": users_grid,
                             "cpu_util": cpu_util[size_label]}
         sections.append(render_series(
             f"Figure 14 ({size_label}): CPU utilisation [%] vs users "
-            "(fanout 20)", "users", grids[size_label], cpu_util[size_label]))
+            "(fanout 20)", "users", users_grid, cpu_util[size_label]))
     return ExhibitResult("fig14", "CPU overhead comparison",
                          "\n\n".join(sections), data)
 
@@ -505,7 +483,7 @@ def fig14(quick: bool = True, seed: int = 42,
 # ---------------------------------------------------------------------------
 
 #: Percentiles reported for the tail-latency exhibits.
-TAIL_PERCENTILES = [50.0, 80.0, 90.0, 95.0, 99.0]
+TAIL_PERCENTILES = (50.0, 80.0, 90.0, 95.0, 99.0)
 
 #: The four servers compared in Figures 15-17.
 TAIL_SERVERS = (("w schedule", "doubleface"),
@@ -514,14 +492,12 @@ TAIL_SERVERS = (("w schedule", "doubleface"),
                 ("NettyBackend", "netty"))
 
 
-def _tail_exhibit(exhibit: str, title: str, lfan: int, sfan: int,
-                  size: int, large_shards: bool, quick: bool, seed: int,
-                  users: int = 600, think: float = 5.2,
-                  request_cpu: float = 0.3e-3,
-                  request_cpu_cv: float = 0.5,
-                  response_cpu: float = 1.2e-3,
-                  assemble_cpu: float = 0.3e-3,
-                  jobs: Optional[int] = 1) -> ExhibitResult:
+def _tail_points(lfan: int, sfan: int, size: int, large_shards: bool,
+                 quick: bool, seed: int, users: int = 600,
+                 think: float = 5.2, request_cpu: float = 0.3e-3,
+                 request_cpu_cv: float = 0.5,
+                 response_cpu: float = 1.2e-3,
+                 assemble_cpu: float = 0.3e-3) -> Points:
     duration = 15.0 if quick else 40.0
     # RUBBoS-style pages do real per-sub-result business work (fragment
     # handling dominates), datastore service times are heavy-tailed
@@ -529,7 +505,7 @@ def _tail_exhibit(exhibit: str, title: str, lfan: int, sfan: int,
     # scheduler), and the app server is reported in its single-core
     # configuration, where reactor-thread contention — the effect under
     # study — is sharpest.
-    points = [(label, ExperimentConfig(
+    return [(label, ExperimentConfig(
         server=kind, workload="open", users=users, think_time=think,
         lfan=lfan, sfan=sfan, response_size=size, reactors=1,
         large_shards=large_shards, warmup=4.0, duration=duration,
@@ -545,7 +521,11 @@ def _tail_exhibit(exhibit: str, title: str, lfan: int, sfan: int,
                            "assemble_base_cost": assemble_cpu,
                            "service_cv": 2.5}))
         for label, kind in TAIL_SERVERS]
-    results = dict(_run_points(points, jobs))
+
+
+def _tail_render(exhibit: str, title: str, pairs: Pairs,
+                 quick: bool = True) -> ExhibitResult:
+    results = dict(pairs)
     series = {label: [1e3 * r.percentiles[q] for q in TAIL_PERCENTILES]
               for label, r in results.items()}
     text = render_series(
@@ -566,37 +546,36 @@ def _tail_exhibit(exhibit: str, title: str, lfan: int, sfan: int,
          for label, r in results.items()})
 
 
-def fig15(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
+def _fig15_points(quick: bool, seed: int) -> Points:
     """Percentile response time on YCSB with the fanout-aware scheduler:
     (a) Lfan/Sfan = 5/3 and (b) 7/1."""
-    a = _tail_exhibit("fig15a", "Figure 15(a) Lfan/Sfan=5/3", 5, 3, 100,
-                      False, quick, seed, jobs=jobs)
-    b = _tail_exhibit("fig15b", "Figure 15(b) Lfan/Sfan=7/1", 7, 1, 100,
-                      False, quick, seed, jobs=jobs)
+    return (_tail_points(5, 3, 100, False, quick, seed)
+            + _tail_points(7, 1, 100, False, quick, seed))
+
+
+def _fig15_render(pairs: Pairs, quick: bool) -> ExhibitResult:
+    # Both halves use the same server keys: split them by position.
+    half = len(TAIL_SERVERS)
+    a = _tail_render("fig15a", "Figure 15(a) Lfan/Sfan=5/3", pairs[:half])
+    b = _tail_render("fig15b", "Figure 15(b) Lfan/Sfan=7/1", pairs[half:])
     return ExhibitResult("fig15", "Scheduler tail-latency gains",
                          a.text + "\n\n" + b.text,
                          {"a": a.data, "b": b.data})
 
 
-def fig16(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
-    """Figure 15(a)'s experiment with 10 GB shards (slower datastore
-    service times)."""
-    return _tail_exhibit("fig16", "Figure 16: large (10GB) shards",
-                         5, 3, 100, True, quick, seed, jobs=jobs)
+#: Figure 16: Figure 15(a)'s experiment with 10 GB shards (slower
+#: datastore service times).
+_FIG16 = Exhibit(partial(_tail_points, 5, 3, 100, True),
+                 partial(_tail_render, "fig16",
+                         "Figure 16: large (10GB) shards"))
 
-
-def fig17(quick: bool = True, seed: int = 42,
-          jobs: Optional[int] = 1) -> ExhibitResult:
-    """Percentile response time on the DBLP dataset (30 kB tuples)."""
-    # DBLP tuples are 30 kB: payload decoding itself is the heavy
-    # per-response work, no extra business cost is layered on.
-    return _tail_exhibit("fig17", "Figure 17: DBLP dataset", 5, 3,
-                         30 * KB, False, quick, seed,
-                         users=600, think=8.4, request_cpu=0.3e-3,
-                         response_cpu=12.0e-6, assemble_cpu=0.3e-3,
-                         jobs=jobs)
+#: Figure 17: percentile response time on the DBLP dataset.  DBLP
+#: tuples are 30 kB: payload decoding itself is the heavy per-response
+#: work, no extra business cost is layered on.
+_FIG17 = Exhibit(partial(_tail_points, 5, 3, 30 * KB, False, users=600,
+                         think=8.4, request_cpu=0.3e-3,
+                         response_cpu=12.0e-6, assemble_cpu=0.3e-3),
+                 partial(_tail_render, "fig17", "Figure 17: DBLP dataset"))
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +589,19 @@ def fig17(quick: bool = True, seed: int = 42,
 FAULT_SLOW_SHARDS = FaultConfig(
     slow_shards=2, slow_factor=100.0, slow_mean_on=0.3, slow_mean_off=0.7)
 
-#: Per-sub-query deadline / retry budget shared by the resilient
-#: policies below (calibrated well above the healthy sub-query tail,
-#: well below the 30x brown-out service time).
-_FAULT_DEADLINE = 5e-3
-_FAULT_RETRY = dict(subquery_deadline=_FAULT_DEADLINE, max_retries=3,
-                    backoff_base=0.5e-3, backoff_cap=2e-3)
+
+def _retry(**hedge) -> ResilienceConfig:
+    """The per-sub-query deadline / retry budget shared by the resilient
+    policies below (calibrated well above the healthy sub-query tail,
+    well below the 30x brown-out service time), plus *hedge* settings."""
+    return ResilienceConfig(subquery_deadline=5e-3, max_retries=3,
+                            backoff_base=0.5e-3, backoff_cap=2e-3, **hedge)
+
+
+def _p95_hedge(**kw) -> ResilienceConfig:
+    """The adaptive p95 hedge on top of the shared retry budget."""
+    return _retry(hedge_percentile=95.0, hedge_min_samples=50, **kw)
+
 
 #: Servers compared under failure.
 FAULT_SERVERS = (("DoubleFaceNetty", "doubleface"),
@@ -630,6 +616,16 @@ def _fault_point(kind: str, resilience: Optional[ResilienceConfig],
         warmup=0.5, duration=1.5 if quick else 6.0, seed=seed,
         faults=FAULT_SLOW_SHARDS, resilience=resilience,
         replicas_per_shard=2, keep_selector_stats=False, **kw)
+
+
+def _fault_rows(data: Dict[str, Dict[str, float]], labels: Iterable[str],
+                counters: Iterable[str]) -> List[list]:
+    """Table rows: p50 / p99 [ms] and throughput, then *counters*."""
+    return [[label, round(1e3 * data[label]["p50"], 2),
+             round(1e3 * data[label]["p99"], 2),
+             round(data[label]["throughput"])]
+            + [round(data[label][name]) for name in counters]
+            for label in labels]
 
 
 def _fault_summary(result) -> Dict[str, float]:
@@ -650,8 +646,11 @@ def _fault_summary(result) -> Dict[str, float]:
     }
 
 
-def fault_tail(quick: bool = True, seed: int = 42,
-               jobs: Optional[int] = 1) -> ExhibitResult:
+_FAULT_TAIL_POLICIES = (("no-resilience", None), ("retry", _retry()),
+                        ("hedge+retry", _p95_hedge()))
+
+
+def _fault_tail_points(quick: bool, seed: int) -> Points:
     """Tail latency under a slow-shard fault, with and without driver
     resilience.
 
@@ -661,32 +660,21 @@ def fault_tail(quick: bool = True, seed: int = 42,
     result the benchmark suite pins: hedging+retry recovers >= 2x of the
     no-resilience p99.
     """
-    policies = (
-        ("no-resilience", None),
-        ("retry", ResilienceConfig(**_FAULT_RETRY)),
-        ("hedge+retry", ResilienceConfig(
-            hedge_percentile=95.0, hedge_min_samples=50, **_FAULT_RETRY)),
-    )
-    points: List[Tuple[Any, ExperimentConfig]] = [
-        ((server_label, policy_label),
-         _fault_point(kind, policy, quick, seed))
-        for server_label, kind in FAULT_SERVERS
-        for policy_label, policy in policies]
+    return [((server_label, policy_label),
+             _fault_point(kind, policy, quick, seed))
+            for server_label, kind in FAULT_SERVERS
+            for policy_label, policy in _FAULT_TAIL_POLICIES]
+
+
+def _fault_tail_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     data: Dict[str, Dict[str, Dict[str, float]]] = {
         server_label: {} for server_label, _kind in FAULT_SERVERS}
-    for (server_label, policy_label), result in _run_points(points, jobs):
+    for (server_label, policy_label), result in pairs:
         data[server_label][policy_label] = _fault_summary(result)
-    policy_labels = [label for label, _p in policies]
     sections = []
     for server_label, _kind in FAULT_SERVERS:
-        rows = [[label,
-                 round(1e3 * data[server_label][label]["p50"], 2),
-                 round(1e3 * data[server_label][label]["p99"], 2),
-                 round(data[server_label][label]["throughput"]),
-                 round(data[server_label][label]["retries"]),
-                 round(data[server_label][label]["hedges"]),
-                 round(data[server_label][label]["failed_subqueries"])]
-                for label in policy_labels]
+        rows = _fault_rows(data[server_label], data[server_label],
+                           ("retries", "hedges", "failed_subqueries"))
         sections.append(render_table(
             f"Fault tail ({server_label}): slow-shard brown-out, "
             "2 replicas/shard",
@@ -697,32 +685,27 @@ def fault_tail(quick: bool = True, seed: int = 42,
                          "\n\n".join(sections), data)
 
 
-def hedging(quick: bool = True, seed: int = 42,
-            jobs: Optional[int] = 1) -> ExhibitResult:
+_HEDGING_POLICIES = (
+    ("no-hedge", _retry()),
+    ("hedge-2ms", _retry(hedge_delay=2e-3)),
+    ("hedge-4ms", _retry(hedge_delay=4e-3)),
+    ("hedge-p95", _p95_hedge()),
+)
+
+
+def _hedging_points(quick: bool, seed: int) -> Points:
     """Hedging-policy sweep on DoubleFaceNetty under the slow-shard
     fault: no hedge, fixed hedge delays, and the adaptive p95 hedge,
     all on top of the same deadline+retry safety net."""
-    policies = (
-        ("no-hedge", ResilienceConfig(**_FAULT_RETRY)),
-        ("hedge-2ms", ResilienceConfig(hedge_delay=2e-3, **_FAULT_RETRY)),
-        ("hedge-4ms", ResilienceConfig(hedge_delay=4e-3, **_FAULT_RETRY)),
-        ("hedge-p95", ResilienceConfig(
-            hedge_percentile=95.0, hedge_min_samples=50, **_FAULT_RETRY)),
-    )
-    points: List[Tuple[Any, ExperimentConfig]] = [
-        (label, _fault_point("doubleface", policy, quick, seed))
-        for label, policy in policies]
+    return [(label, _fault_point("doubleface", policy, quick, seed))
+            for label, policy in _HEDGING_POLICIES]
+
+
+def _hedging_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     data: Dict[str, Dict[str, float]] = {}
-    for label, result in _run_points(points, jobs):
+    for label, result in pairs:
         data[label] = _fault_summary(result)
-    rows = [[label,
-             round(1e3 * data[label]["p50"], 2),
-             round(1e3 * data[label]["p99"], 2),
-             round(data[label]["throughput"]),
-             round(data[label]["hedges"]),
-             round(data[label]["hedge_wins"]),
-             round(data[label]["retries"])]
-            for label, _policy in policies]
+    rows = _fault_rows(data, data, ("hedges", "hedge_wins", "retries"))
     text = render_table(
         "Hedging policies (DoubleFaceNetty, slow-shard brown-out)",
         ["policy", "p50 [ms]", "p99 [ms]", "tput [req/s]", "hedges",
@@ -751,9 +734,14 @@ FAULT_OPEN_SERVERS = (("DoubleFaceNetty", "doubleface"),
                       ("Type1Async", "type1"),
                       ("ThreadBased", "threadbased"))
 
+_FAULT_OPEN_POLICIES = (
+    ("primary", "primary", None),
+    ("primary+retry", "primary", _retry()),
+    ("replica+hedge", "least_outstanding", _p95_hedge()),
+)
 
-def fault_open(quick: bool = True, seed: int = 42,
-               jobs: Optional[int] = 1) -> ExhibitResult:
+
+def _fault_open_points(quick: bool, seed: int) -> Points:
     """Open (RUBBoS-style Poisson) workload under a rack-wide fault.
 
     Every architecture runs three driver policies under
@@ -771,40 +759,29 @@ def fault_open(quick: bool = True, seed: int = 42,
     least-outstanding routing drains load away from the browned-out
     rack *before* the deadline machinery has to fire.
     """
-    policies = (
-        ("primary", "primary", None),
-        ("primary+retry", "primary", ResilienceConfig(**_FAULT_RETRY)),
-        ("replica+hedge", "least_outstanding", ResilienceConfig(
-            hedge_percentile=95.0, hedge_min_samples=50, **_FAULT_RETRY)),
-    )
-    points: List[Tuple[Any, ExperimentConfig]] = [
-        ((server_label, policy_label), ExperimentConfig(
-            server=kind, workload="open", users=150, think_time=1.0,
-            fanout=5, response_size=100,
-            warmup=0.5, duration=1.5 if quick else 6.0, seed=seed,
-            faults=FAULT_RACK, resilience=resilience,
-            replicas_per_shard=2, racks=FAULT_OPEN_RACKS,
-            replica_policy=replica_policy, keep_selector_stats=False))
+    return [((server_label, policy_label), ExperimentConfig(
+        server=kind, workload="open", users=150, think_time=1.0,
+        fanout=5, response_size=100,
+        warmup=0.5, duration=1.5 if quick else 6.0, seed=seed,
+        faults=FAULT_RACK, resilience=resilience,
+        replicas_per_shard=2, racks=FAULT_OPEN_RACKS,
+        replica_policy=replica_policy, keep_selector_stats=False))
         for server_label, kind in FAULT_OPEN_SERVERS
-        for policy_label, replica_policy, resilience in policies]
+        for policy_label, replica_policy, resilience in _FAULT_OPEN_POLICIES]
+
+
+def _fault_open_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     data: Dict[str, Dict[str, Dict[str, float]]] = {
         server_label: {} for server_label, _kind in FAULT_OPEN_SERVERS}
-    for (server_label, policy_label), result in _run_points(points, jobs):
+    for (server_label, policy_label), result in pairs:
         summary = _fault_summary(result)
         summary["rack_slowed"] = result.fault_counters.get(
             "faults.rack_slowed_queries", 0.0)
         data[server_label][policy_label] = summary
-    policy_labels = [label for label, _rp, _res in policies]
     sections = []
     for server_label, _kind in FAULT_OPEN_SERVERS:
-        rows = [[label,
-                 round(1e3 * data[server_label][label]["p50"], 2),
-                 round(1e3 * data[server_label][label]["p99"], 2),
-                 round(data[server_label][label]["throughput"]),
-                 round(data[server_label][label]["rack_slowed"]),
-                 round(data[server_label][label]["hedges"]),
-                 round(data[server_label][label]["failovers"])]
-                for label in policy_labels]
+        rows = _fault_rows(data[server_label], data[server_label],
+                           ("rack_slowed", "hedges", "failovers"))
         sections.append(render_table(
             f"Rack fault, open workload ({server_label}): "
             "2 replicas/shard over 2 racks",
@@ -819,8 +796,10 @@ def fault_open(quick: bool = True, seed: int = 42,
 # EWMA replica routing — latency-aware vs queue-aware under RTT asymmetry
 # ---------------------------------------------------------------------------
 
-def ewma_route(quick: bool = True, seed: int = 42,
-               jobs: Optional[int] = 1) -> ExhibitResult:
+_EWMA_POLICIES = ("primary", "least_outstanding", "ewma")
+
+
+def _ewma_route_points(quick: bool, seed: int) -> Points:
     """Latency-aware (EWMA) replica routing vs least-outstanding under
     cross-rack RTT asymmetry, with span tracing attributing the gap.
 
@@ -834,19 +813,20 @@ def ewma_route(quick: bool = True, seed: int = 42,
     exactly in the ``network`` category.
     """
     duration = 1.5 if quick else 6.0
-    policies = ("primary", "least_outstanding", "ewma")
-    points: List[Tuple[Any, ExperimentConfig]] = [
-        (policy, ExperimentConfig(
-            server="doubleface", concurrency=20, fanout=5,
-            response_size=100, warmup=0.5, duration=duration, seed=seed,
-            replicas_per_shard=2, racks=2, replica_policy=policy,
-            cross_rack_extra_latency=0.5e-3,
-            trace=True, trace_sample=0.25, trace_exemplars=3,
-            keep_selector_stats=False, label=policy))
-        for policy in policies]
+    return [(policy, ExperimentConfig(
+        server="doubleface", concurrency=20, fanout=5,
+        response_size=100, warmup=0.5, duration=duration, seed=seed,
+        replicas_per_shard=2, racks=2, replica_policy=policy,
+        cross_rack_extra_latency=0.5e-3,
+        trace=True, trace_sample=0.25, trace_exemplars=3,
+        keep_selector_stats=False, label=policy))
+        for policy in _EWMA_POLICIES]
+
+
+def _ewma_route_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     data: Dict[str, Any] = {}
     summaries: Dict[str, Any] = {}
-    for label, result in _run_points(points, jobs):
+    for label, result in pairs:
         data[label] = {
             "p50": result.percentiles[50.0],
             "p99": result.percentiles[99.0],
@@ -858,7 +838,7 @@ def ewma_route(quick: bool = True, seed: int = 42,
              round(1e3 * data[label]["p50"], 3),
              round(1e3 * data[label]["p99"], 3),
              round(data[label]["throughput"])]
-            for label in policies]
+            for label in _EWMA_POLICIES]
     text = render_table(
         "EWMA routing: cross-rack asymmetry (2 replicas over 2 racks, "
         "+0.5ms spine)",
@@ -874,8 +854,14 @@ def ewma_route(quick: bool = True, seed: int = 42,
 # Attribution hedging — per-shard learned hedge delays vs one global window
 # ---------------------------------------------------------------------------
 
-def adaptive_hedge(quick: bool = True, seed: int = 42,
-                   jobs: Optional[int] = 1) -> ExhibitResult:
+_ADAPTIVE_HEDGE_POLICIES = (
+    ("retry-only", _retry()),
+    ("global-p95", _p95_hedge()),
+    ("attribution", _p95_hedge(hedge_policy="attribution")),
+)
+
+
+def _adaptive_hedge_points(quick: bool, seed: int) -> Points:
     """Per-shard attribution hedging vs the global-percentile hedge
     under a slow-shard brown-out on a heterogeneous topology.
 
@@ -894,40 +880,26 @@ def adaptive_hedge(quick: bool = True, seed: int = 42,
     attribution's p99 rescue over retry-only is at least the global
     policy's.
     """
-    policies = (
-        ("retry-only", ResilienceConfig(**_FAULT_RETRY)),
-        ("global-p95", ResilienceConfig(
-            hedge_percentile=95.0, hedge_min_samples=50, **_FAULT_RETRY)),
-        ("attribution", ResilienceConfig(
-            hedge_percentile=95.0, hedge_min_samples=50,
-            hedge_policy="attribution", **_FAULT_RETRY)),
-    )
-    points: List[Tuple[Any, ExperimentConfig]] = [
-        (label, _fault_point(
-            "doubleface", policy, quick, seed,
-            racks=2, cross_rack_extra_latency=0.5e-3,
-            trace=True, trace_sample=0.25, trace_exemplars=3,
-            label=label))
-        for label, policy in policies]
+    return [(label, _fault_point(
+        "doubleface", policy, quick, seed,
+        racks=2, cross_rack_extra_latency=0.5e-3,
+        trace=True, trace_sample=0.25, trace_exemplars=3,
+        label=label))
+        for label, policy in _ADAPTIVE_HEDGE_POLICIES]
+
+
+def _adaptive_hedge_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     data: Dict[str, Any] = {}
     summaries: Dict[str, Any] = {}
     delays: Dict[str, Dict[int, float]] = {}
-    for label, result in _run_points(points, jobs):
+    for label, result in pairs:
         summary = _fault_summary(result)
         summary["hedge_clamped"] = result.fault_counters.get(
             "resilience.hedge_clamped", 0.0)
         data[label] = summary
         summaries[label] = result.trace_summary
         delays[label] = result.hedge_delays
-    labels = [label for label, _policy in policies]
-    rows = [[label,
-             round(1e3 * data[label]["p50"], 2),
-             round(1e3 * data[label]["p99"], 2),
-             round(data[label]["throughput"]),
-             round(data[label]["hedges"]),
-             round(data[label]["hedge_wins"]),
-             round(data[label]["hedge_clamped"])]
-            for label in labels]
+    rows = _fault_rows(data, data, ("hedges", "hedge_wins", "hedge_clamped"))
     text = render_table(
         "Adaptive hedging (DoubleFaceNetty): slow-shard brown-out + "
         "cross-rack asymmetry",
@@ -943,92 +915,66 @@ def adaptive_hedge(quick: bool = True, seed: int = 42,
 
 
 #: Registry used by the CLI and the benchmark suite.
-EXHIBITS: Dict[str, Callable[..., ExhibitResult]] = {
-    "fig04": fig04, "fig05": fig05, "fig07": fig07, "fig09": fig09,
-    "fig13": fig13, "fig14": fig14, "fig15": fig15, "fig16": fig16,
-    "fig17": fig17, "tab1": tab1, "tab2": tab2, "tab3": tab3,
-    "fault_tail": fault_tail, "hedging": hedging, "fault_open": fault_open,
-    "ewma_route": ewma_route, "adaptive_hedge": adaptive_hedge,
-}
+EXHIBITS: Mapping[str, Exhibit] = MappingProxyType({
+    "fig04": Exhibit(_fig04_points, _fig04_render),
+    "fig05": Exhibit(_fig05_points, _fig05_render),
+    "fig07": Exhibit(_fig07_points, _fig07_render),
+    "fig09": Exhibit(_fig09_points, _fig09_render),
+    "fig13": Exhibit(_fig13_points, _fig13_render),
+    "fig14": Exhibit(_fig14_points, _fig14_render),
+    "fig15": Exhibit(_fig15_points, _fig15_render),
+    "fig16": _FIG16,
+    "fig17": _FIG17,
+    "tab1": Exhibit(_tab1_points, _tab1_render),
+    "tab2": Exhibit(_tab2_points, _tab2_render),
+    "tab3": Exhibit(_tab3_points, _tab3_render),
+    "fault_tail": Exhibit(_fault_tail_points, _fault_tail_render),
+    "hedging": Exhibit(_hedging_points, _hedging_render),
+    "fault_open": Exhibit(_fault_open_points, _fault_open_render),
+    "ewma_route": Exhibit(_ewma_route_points, _ewma_route_render),
+    "adaptive_hedge": Exhibit(_adaptive_hedge_points, _adaptive_hedge_render),
+})
 
 
-def run_exhibit(name: str, quick: bool = True, seed: int = 42,
-                jobs: Optional[int] = 1,
-                transport: Optional[str] = None,
-                trace: bool = False, trace_sample: float = 0.01,
-                trace_exemplars: int = 3,
-                obs: bool = False,
-                obs_period: float = DEFAULT_OBS_PERIOD) -> ExhibitResult:
-    """Run one exhibit by name (``fig04`` ... ``tab3``).
+def _render(name: str, points: List[Tuple[Any, ExperimentConfig,
+                                          ExperimentResult]],
+            quick: bool, trace_sample: Optional[float],
+            obs: bool) -> ExhibitResult:
+    """Render one exhibit from its ``(key, config, result)`` points and
+    attach the per-point trace/obs artifacts.
 
-    ``jobs`` is forwarded to the parallel runner: 1 = serial (default),
-    N = fan the exhibit's experiment points over N worker processes,
-    0/None = one worker per CPU.  ``transport`` picks the worker→parent
-    result path (``"shm"`` / ``"pickle"`` / ``None`` = auto).  Results
-    are identical for any combination.
-
-    ``trace=True`` runs every point with span tracing at
-    ``trace_sample`` probability: the exhibit's measured numbers are
-    unchanged (tracing is observation-only), critical-path breakdown
-    and flame tables are appended to the text, and the per-point
-    summaries / flame aggregations / phase windows land in
-    ``result.data["trace_summaries"]`` / ``["flames"]`` /
-    ``["trace_phases"]`` (feed them to
-    :func:`repro.trace.write_chrome_trace` /
-    :func:`repro.trace.write_flame` for timelines and flame graphs).
-
-    ``obs=True`` runs every point with the telemetry ticker sampling
-    gauges each ``obs_period`` simulated seconds (also
-    observation-only); per-point Prometheus snapshots land in
-    ``result.data["prometheus"]``.
+    Artifacts are named ``label#NNN (key)``: NNN counts the exhibit's
+    traced points (trace) or all its points (obs) in declared order.
     """
-    global _TRANSPORT, _TRACE, _OBS
-    if name not in EXHIBITS:
-        raise KeyError(f"unknown exhibit {name!r}; choose from "
-                       f"{sorted(EXHIBITS)}")
-    previous = _TRANSPORT
-    previous_trace = _TRACE
-    previous_obs = _OBS
-    _TRANSPORT = transport
-    if trace:
-        _TRACE = {"sample": trace_sample, "exemplars": trace_exemplars,
-                  "summaries": {}, "flames": {}, "phases": {}}
-    if obs:
-        _OBS = {"period": obs_period, "snapshots": {}}
-    try:
-        result = EXHIBITS[name](quick=quick, seed=seed, jobs=jobs)
-        if trace and _TRACE["summaries"]:
-            result.data.setdefault("trace_summaries", _TRACE["summaries"])
+    result = EXHIBITS[name].render(
+        [(key, point) for key, _config, point in points], quick)
+    if trace_sample is not None:
+        summaries: Dict[str, Any] = {}
+        flames: Dict[str, Any] = {}
+        phases: Dict[str, Any] = {}
+        for key, config, point in points:
+            if point.trace_summary is not None:
+                label = f"{config.label}#{len(summaries):03d} ({key})"
+                summaries[label] = point.trace_summary
+                flames[label] = point.flame
+                phases[label] = point.phases
+        if summaries:
+            rate = f"{100 * trace_sample:g}% sampled"
+            result.data.setdefault("trace_summaries", summaries)
             result.text += "\n\n" + render_breakdown(
                 f"{name}: critical-path breakdown (mean per request, "
-                f"{100 * trace_sample:g}% sampled)",
-                _TRACE["summaries"])
-        if trace and _TRACE["flames"]:
-            result.data.setdefault("flames", _TRACE["flames"])
-            result.data.setdefault("trace_phases", _TRACE["phases"])
+                f"{rate})", summaries)
+            result.data.setdefault("flames", flames)
+            result.data.setdefault("trace_phases", phases)
             result.text += "\n\n" + render_flame(
-                f"{name}: heaviest flame paths (self time, "
-                f"{100 * trace_sample:g}% sampled)",
-                _TRACE["flames"])
-        if obs and _OBS["snapshots"]:
-            result.data.setdefault("prometheus", _OBS["snapshots"])
-        return result
-    finally:
-        _TRANSPORT = previous
-        _TRACE = previous_trace
-        _OBS = previous_obs
-
-
-#: Rough relative wall-clock cost of each exhibit (quick mode).  Used
-#: only to start the expensive exhibits first so their long tail-window
-#: points enter the shared queue early; correctness never depends on it.
-_EXHIBIT_COST: Dict[str, int] = {
-    "fig15": 100, "fig16": 60, "fig17": 60, "fig14": 40, "fig05": 30,
-    "fig13": 20, "fig04": 15, "fig09": 10, "fig07": 8,
-    "fault_tail": 6, "hedging": 4, "fault_open": 8, "ewma_route": 4,
-    "adaptive_hedge": 4,
-    "tab1": 5, "tab2": 4, "tab3": 4,
-}
+                f"{name}: heaviest flame paths (self time, {rate})", flames)
+    if obs:
+        snapshots = {}
+        for index, (key, config, point) in enumerate(points):
+            label = f"{config.label}#{index:03d} ({key})"
+            snapshots[label] = prometheus_snapshot(point, label=label)
+        result.data.setdefault("prometheus", snapshots)
+    return result
 
 
 def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
@@ -1037,61 +983,77 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
                  trace: bool = False, trace_sample: float = 0.01,
                  trace_exemplars: int = 3,
                  obs: bool = False,
-                 obs_period: float = DEFAULT_OBS_PERIOD
-                 ) -> Dict[str, ExhibitResult]:
-    """Run several exhibits, interleaving their points over one pool.
+                 obs_period: float = DEFAULT_OBS_PERIOD,
+                 on_result: Optional[Callable[[str, ExhibitResult], None]]
+                 = None) -> Dict[str, ExhibitResult]:
+    """Run exhibits by name; results keyed by name in the order given.
 
-    With ``jobs > 1`` (or 0/None = per-CPU) every exhibit runs on its
-    own submitter thread and all their (exhibit, key, config) points
-    feed a single shared :class:`BatchExecutor` — which also owns the
-    result transport (``transport``: shm / pickle / None = auto), so
-    every exhibit's columns flow through one shared ring.  The 15 s
-    tail-window points of fig15-17 overlap with the cheap table grids
-    instead of each exhibit draining the pool in turn.  ``jobs=1``
-    falls back to running the exhibits serially in-process.  Either
-    way each exhibit's result is identical to a standalone
-    :func:`run_exhibit` call with the same ``quick``/``seed``.
+    Every exhibit's points go through one executor: ``jobs=1`` runs
+    them in-process, N fans them over N worker processes, 0/None uses
+    one worker per CPU.  The pool takes the points heaviest first
+    whatever exhibit declared them, so the long tail-window points
+    overlap with the cheap table grids.  ``transport`` picks the
+    worker→parent result path (``"shm"`` / ``"pickle"`` / ``None`` =
+    auto).  Results are identical for any combination, and each
+    exhibit's result equals running it alone.  ``on_result(name,
+    result)`` is called as each exhibit completes, in completion order.
+
+    ``trace=True`` runs every point with span tracing at
+    ``trace_sample`` probability (overriding any rate an exhibit sets):
+    the measured numbers are unchanged (tracing is observation-only),
+    critical-path breakdown and flame tables are appended to the text,
+    and the per-point summaries / flame aggregations / phase windows
+    land in ``result.data["trace_summaries"]`` / ``["flames"]`` /
+    ``["trace_phases"]`` (feed them to
+    :func:`repro.trace.write_chrome_trace` /
+    :func:`repro.trace.write_flame` for timelines and flame graphs).
+
+    ``obs=True`` runs every point with the telemetry ticker sampling
+    gauges each ``obs_period`` simulated seconds (also
+    observation-only); per-point Prometheus snapshots land in
+    ``result.data["prometheus"]``.
+
+    A point that raises fails the whole run at once with a
+    ``RuntimeError`` naming its exhibit, the point's error chained.
     """
-    global _BATCH_RUNNER
-    names = list(names)
+    names = list(dict.fromkeys(names))
     for name in names:
         if name not in EXHIBITS:
             raise ValueError(f"unknown exhibit {name!r}; choose from "
                              f"{sorted(EXHIBITS)}")
-    if trace or obs or resolve_jobs(jobs) <= 1 or len(names) <= 1:
-        # Traced/observed runs stay serial per exhibit: the
-        # summary/snapshot-collection globals are per-exhibit state
-        # that must not interleave across submitter threads (each
-        # exhibit still fans its own points over ``jobs`` workers).
-        return {name: run_exhibit(name, quick=quick, seed=seed, jobs=jobs,
-                                  transport=transport, trace=trace,
-                                  trace_sample=trace_sample,
-                                  trace_exemplars=trace_exemplars,
-                                  obs=obs, obs_period=obs_period)
-                for name in names}
-    results: Dict[str, ExhibitResult] = {}
-    errors: Dict[str, BaseException] = {}
-
-    def submit(name: str) -> None:
-        try:
-            results[name] = EXHIBITS[name](quick=quick, seed=seed, jobs=1)
-        except BaseException as exc:  # noqa: BLE001 - reraised below
-            errors[name] = exc
-
-    heavy_first = sorted(names, key=lambda n: -_EXHIBIT_COST.get(n, 1))
-    with BatchExecutor(jobs, transport=transport) as executor:
-        _BATCH_RUNNER = executor.run
-        try:
-            threads = [threading.Thread(target=submit, args=(name,),
-                                        name=f"exhibit-{name}")
-                       for name in heavy_first]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            _BATCH_RUNNER = None
-    if errors:
-        name = sorted(errors)[0]
-        raise RuntimeError(f"exhibit {name!r} failed") from errors[name]
-    return {name: results[name] for name in names}
+    overlay: Dict[str, Any] = {}
+    if trace:
+        overlay.update(trace=True, trace_sample=trace_sample,
+                       trace_exemplars=trace_exemplars)
+    if obs:
+        overlay.update(obs=True, obs_period=obs_period)
+    owners: List[str] = []
+    keys: List[Any] = []
+    configs: List[ExperimentConfig] = []
+    for name in names:
+        for key, config in EXHIBITS[name].points(quick, seed):
+            owners.append(name)
+            keys.append(key)
+            configs.append(replace(config, **overlay))
+    results: List[Optional[ExperimentResult]] = [None] * len(configs)
+    pending = {name: owners.count(name) for name in names}
+    rendered: Dict[str, ExhibitResult] = {}
+    with closing(iter_experiments(configs, jobs=jobs,
+                                  transport=transport)) as outcomes:
+        for position, outcome in outcomes:
+            name = owners[position]
+            if isinstance(outcome, Exception):
+                raise RuntimeError(f"exhibit {name!r} failed") from outcome
+            results[position] = outcome
+            pending[name] -= 1
+            if pending[name]:
+                continue
+            mine = [i for i, owner in enumerate(owners) if owner == name]
+            rendered[name] = _render(
+                name, [(keys[i], configs[i], results[i]) for i in mine],
+                quick, trace_sample if trace else None, obs)
+            for i in mine:
+                results[i] = None
+            if on_result is not None:
+                on_result(name, rendered[name])
+    return {name: rendered[name] for name in names}

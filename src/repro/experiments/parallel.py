@@ -15,14 +15,16 @@ Design notes:
   method so each child imports ``repro`` fresh; no module-level state
   (RNG singletons, metrics caches) leaks from the parent, which is what
   makes ``--jobs N`` results provably equal to ``--jobs 1``.
-- **chunked dispatch.**  Configs are submitted in chunks (a few chunks
-  per worker) so cheap points amortise IPC without one slow chunk
-  serialising the tail.
+- **one pool path.**  Every pooled run goes through
+  :class:`BatchExecutor`: one ``apply_async`` per point, each
+  completion decoded the moment it lands (:meth:`BatchExecutor.imap`),
+  so ring space is returned as fast as workers fill it and a slow
+  point never holds up the merge of the others.
 - **heaviest points first.**  Within a batch, configs are dispatched in
   descending estimated cost (simulated seconds x load) so a grid's
   expensive corner (conc=256, long windows) starts immediately instead
-  of landing on an almost-drained pool; results are re-ordered back to
-  submission order before returning, so callers never see the shuffle.
+  of landing on an almost-drained pool; every completion carries its
+  submission position, so callers never see the shuffle.
 - **columnar shared-memory transport** (``transport="shm"``, the
   default where ``multiprocessing.shared_memory`` works).  Workers
   flatten each result into a small header plus packed float columns
@@ -54,20 +56,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from typing import Iterable, List, Optional, Sequence, Tuple
+import queue
+from contextlib import closing
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .config import ExperimentConfig, ExperimentResult
 from .runner import run_experiment
 from .transport import ShmRing, decode_result, encode_result, shm_available
 
-__all__ = ["run_experiments", "resolve_jobs", "resolve_transport",
-           "BatchExecutor", "CHUNKS_PER_WORKER", "TRANSPORTS",
+__all__ = ["run_experiments", "iter_experiments", "resolve_jobs",
+           "resolve_transport", "BatchExecutor", "TRANSPORTS",
            "DEFAULT_RING_BYTES"]
-
-#: Target number of chunks handed to each worker.  More than one chunk
-#: per worker lets the pool rebalance when points have uneven cost
-#: (e.g. conc=256 vs conc=1 grid ends) at a small IPC premium.
-CHUNKS_PER_WORKER = 4
 
 #: Worker→parent result transports.
 TRANSPORTS = ("shm", "pickle")
@@ -109,11 +108,6 @@ def resolve_transport(transport: Optional[str]) -> str:
     if transport == "shm" and not shm_available():
         return "pickle"
     return transport
-
-
-def _chunksize(n_configs: int, jobs: int) -> int:
-    """Ceil-divide the points into ~CHUNKS_PER_WORKER chunks per worker."""
-    return max(1, -(-n_configs // (jobs * CHUNKS_PER_WORKER)))
 
 
 def _config_cost(config: ExperimentConfig) -> float:
@@ -165,14 +159,6 @@ def _run_columnar(config: ExperimentConfig) -> Tuple[bytes, Optional[Tuple[int, 
     return header_bytes, ticket, None
 
 
-def _run_columnar_at(task: Tuple[int, ExperimentConfig]):
-    """:func:`_run_columnar` tagged with the result's merge position,
-    so the parent can consume completions in *any* order (draining the
-    ring as fast as workers fill it) and still merge by position."""
-    position, config = task
-    return position, _run_columnar(config)
-
-
 def _decode_payload(payload, ring: Optional[ShmRing]) -> ExperimentResult:
     """Parent side of the shm transport: rebuild one result from a
     worker payload, returning its ring bytes afterwards."""
@@ -189,6 +175,51 @@ def _decode_payload(payload, ring: Optional[ShmRing]) -> ExperimentResult:
         ring.release(nbytes)
 
 
+#: What a run yields per point: its submission position, and its result
+#: or the exception it raised.
+Outcome = Tuple[int, Union[ExperimentResult, Exception]]
+
+
+def _gather(outcomes: Iterable[Outcome], count: int) -> List[ExperimentResult]:
+    """Results in submission order; the first failure is raised."""
+    results: List[Optional[ExperimentResult]] = [None] * count
+    for position, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        results[position] = outcome
+    return results
+
+
+def iter_experiments(configs: Iterable[ExperimentConfig],
+                     jobs: Optional[int] = 1,
+                     transport: Optional[str] = None,
+                     ring_bytes: int = DEFAULT_RING_BYTES,
+                     ) -> Iterator[Outcome]:
+    """Run every config, yielding ``(position, outcome)`` as each point
+    finishes: *outcome* is the point's result, or the exception it
+    raised.
+
+    ``jobs=1`` (or a single config) runs the points in-process, in
+    order; ``jobs>1`` fans them over one :class:`BatchExecutor`,
+    heaviest first, yielding in completion order; ``jobs=0``/``None``
+    uses one worker per CPU.  Closing the generator early tears the
+    pool down.
+    """
+    configs = list(configs)
+    jobs = min(resolve_jobs(jobs), len(configs))
+    transport = resolve_transport(transport)
+    if jobs <= 1:
+        for position, config in enumerate(configs):
+            try:
+                yield position, run_experiment(config)
+            except Exception as exc:  # noqa: BLE001 - handed to the caller
+                yield position, exc
+        return
+    with BatchExecutor(jobs, transport=transport,
+                       ring_bytes=ring_bytes) as executor:
+        yield from executor.imap(configs)
+
+
 def run_experiments(configs: Iterable[ExperimentConfig],
                     jobs: Optional[int] = 1,
                     transport: Optional[str] = None,
@@ -196,63 +227,31 @@ def run_experiments(configs: Iterable[ExperimentConfig],
                     ) -> List[ExperimentResult]:
     """Run every config, returning results in the order configs came in.
 
-    ``jobs=1`` runs serially in-process; ``jobs>1`` fans out over a
-    spawn-context pool, heaviest points first; ``jobs=0``/``None`` uses
-    one worker per CPU.  ``transport`` picks how results cross the
-    worker→parent boundary: ``"shm"`` (columnar shared memory, the
-    default where available), ``"pickle"``, or ``None`` = auto.  All
-    paths produce identical results for identical configs: each point
-    is an isolated deterministic simulation keyed only by its own
-    config (which carries the seed), parallel results are merged back
-    by submission position, and the columnar codec is an exact
-    float-for-float identity.
+    ``jobs`` and ``transport`` as for :func:`iter_experiments`:
+    ``transport`` picks how results cross the worker→parent boundary,
+    ``"shm"`` (columnar shared memory, the default where available),
+    ``"pickle"``, or ``None`` = auto.  All paths produce identical
+    results for identical configs: each point is an isolated
+    deterministic simulation keyed only by its own config (which
+    carries the seed), parallel results are merged back by submission
+    position, and the columnar codec is an exact float-for-float
+    identity.  The first point to fail raises its exception.
     """
     configs = list(configs)
-    jobs = min(resolve_jobs(jobs), len(configs))
-    transport = resolve_transport(transport)
-    if jobs <= 1:
-        return [run_experiment(config) for config in configs]
-    order = _cost_order(configs)
-    ordered = [configs[i] for i in order]
-    chunk = _chunksize(len(configs), jobs)
-    ctx = multiprocessing.get_context("spawn")
-    results: List[Optional[ExperimentResult]] = [None] * len(configs)
-    if transport == "pickle":
-        with ctx.Pool(processes=jobs) as pool:
-            payloads = pool.map(_run_pickled, ordered, chunksize=chunk)
-        for position, payload in zip(order, payloads):
-            results[position] = pickle.loads(payload)
-        return results
-    ring = ShmRing.create(ring_bytes, ctx)
-    try:
-        with ctx.Pool(processes=jobs, initializer=_init_shm_worker,
-                      initargs=(ring.spec(),)) as pool:
-            # imap_unordered: the parent decodes (and releases ring
-            # space) the moment any worker finishes, instead of letting
-            # completed columns pile up until the whole grid is done.
-            # Merge stays deterministic — every payload carries its
-            # submission position.
-            tasks = list(zip(order, ordered))
-            for position, payload in pool.imap_unordered(
-                    _run_columnar_at, tasks, chunksize=chunk):
-                results[position] = _decode_payload(payload, ring)
-    finally:
-        ring.destroy()
-    return results
+    with closing(iter_experiments(configs, jobs=jobs, transport=transport,
+                                  ring_bytes=ring_bytes)) as outcomes:
+        return _gather(outcomes, len(configs))
 
 
 class BatchExecutor:
-    """A shared worker pool that several submitters feed config batches
-    into concurrently.
+    """A spawn-context worker pool plus its result transport.
 
-    This is the ``--exhibit all`` interleaving backend: each exhibit
-    runs on its own (cheap, Python-side) thread and submits its point
-    batch here, so the pool sees one global (exhibit, key, config)
-    queue — slow tail-window points overlap with cheap table points
-    instead of the pool draining per exhibit.  ``Pool.apply_async`` is
-    thread-safe, and each batch's results are gathered positionally, so
-    per-exhibit determinism is untouched: every batch returns exactly
-    what :func:`run_experiments` would have returned for it.
+    Every pooled run goes through one of these: :func:`iter_experiments`
+    (and so :func:`run_experiments` and the exhibit runner) opens one
+    per run, and callers that want to reuse a warm pool across batches
+    can hold one themselves.  Each batch's points enter the queue
+    heaviest first and come back tagged with their submission position,
+    so determinism never depends on completion order.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -274,27 +273,42 @@ class BatchExecutor:
         else:
             self._pool = ctx.Pool(processes=self.jobs)
 
-    def run(self, configs: Iterable[ExperimentConfig]) -> List[ExperimentResult]:
-        """Run one batch; results in the batch's submission order.
+    def imap(self, configs: Iterable[ExperimentConfig]) -> Iterator[Outcome]:
+        """Run one batch, yielding ``(position, outcome)`` as each point
+        completes (*outcome*: the result, or the exception the worker
+        raised).
 
-        The batch's points enter the shared queue heaviest-first (see
-        :func:`_config_cost`) and come back through the executor's
-        transport (columnar shm tickets, or highest-protocol pickles);
-        the positional gather restores submission order — and, on the
-        shm path, releases each ticket's ring bytes as it decodes, so
-        concurrent batches share the ring fairly.
+        Points enter the queue heaviest-first (see :func:`_config_cost`)
+        and come back through the executor's transport (columnar shm
+        tickets, or highest-protocol pickles).  Each completion is
+        decoded as soon as it lands, which on the shm path hands its
+        ring bytes straight back to the workers.
         """
         configs = list(configs)
         task = _run_columnar if self._ring is not None else _run_pickled
-        handles = {
-            position: self._pool.apply_async(task, (configs[position],))
-            for position in _cost_order(configs)
-        }
-        if self._ring is not None:
-            return [_decode_payload(handles[position].get(), self._ring)
-                    for position in range(len(configs))]
-        return [pickle.loads(handles[position].get())
-                for position in range(len(configs))]
+        done: "queue.SimpleQueue[Tuple[int, object, bool]]" = \
+            queue.SimpleQueue()
+        for position in _cost_order(configs):
+            self._pool.apply_async(
+                task, (configs[position],),
+                callback=lambda payload, p=position: done.put(
+                    (p, payload, True)),
+                error_callback=lambda exc, p=position: done.put(
+                    (p, exc, False)))
+        for _ in configs:
+            position, payload, ok = done.get()
+            if not ok:
+                yield position, payload
+            elif self._ring is not None:
+                yield position, _decode_payload(payload, self._ring)
+            else:
+                yield position, pickle.loads(payload)
+
+    def run(self, configs: Iterable[ExperimentConfig]) -> List[ExperimentResult]:
+        """Run one batch; results in the batch's submission order.  The
+        first point to fail raises its exception."""
+        configs = list(configs)
+        return _gather(self.imap(configs), len(configs))
 
     def close(self) -> None:
         try:
@@ -321,11 +335,10 @@ class BatchExecutor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
-            # A submitter raised (e.g. a poisoned config blew up inside
-            # a worker): close() would block in join() behind every
-            # still-queued point — and leak the pool if any submitter
-            # thread is wedged on a .get().  Tear the workers down
-            # instead; pending results are moot once the batch failed.
+            # A batch failed (e.g. a poisoned config blew up inside a
+            # worker) or its consumer stopped early: close() would block
+            # in join() behind every still-queued point.  Tear the
+            # workers down instead; pending results are moot.
             self.terminate()
         else:
             self.close()

@@ -7,7 +7,8 @@ argument handling, and one fast exhibit end-to-end.
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.figures import EXHIBITS, run_exhibit, run_exhibits
+from repro.experiments.config import ExperimentConfig
+from repro.experiments import EXHIBITS, run_exhibits
 
 
 class TestRegistry:
@@ -19,8 +20,8 @@ class TestRegistry:
         assert set(EXHIBITS) == expected
 
     def test_unknown_exhibit_rejected(self):
-        with pytest.raises(KeyError):
-            run_exhibit("fig99")
+        with pytest.raises(ValueError):
+            run_exhibits(["fig99"])
 
 
 class TestParser:
@@ -139,7 +140,7 @@ class TestExhibitRun:
     def test_tab3_end_to_end(self, capsys):
         """tab3 is a representative fast exhibit: run it and check both
         the rendered text and the structured data."""
-        result = run_exhibit("tab3", quick=True)
+        result = run_exhibits(["tab3"], quick=True)["tab3"]
         assert result.exhibit == "tab3"
         assert "Table 3" in result.text
         for case in ("OneCase", "TwoCase", "FourCase"):
@@ -157,8 +158,9 @@ class TestExhibitRun:
     def test_exhibit_parallel_matches_serial(self):
         """Same seed => identical exhibit (text and data) whether the
         grid runs serially or over worker processes."""
-        serial = run_exhibit("tab2", quick=True, seed=42, jobs=1)
-        parallel = run_exhibit("tab2", quick=True, seed=42, jobs=2)
+        serial = run_exhibits(["tab2"], quick=True, seed=42, jobs=1)["tab2"]
+        parallel = run_exhibits(["tab2"], quick=True, seed=42,
+                                jobs=2)["tab2"]
         assert parallel.text == serial.text
         assert parallel.data == serial.data
 
@@ -168,7 +170,7 @@ class TestExhibitRun:
         batch = run_exhibits(["tab2", "tab3"], quick=True, seed=42, jobs=2)
         assert list(batch) == ["tab2", "tab3"]
         for name in ("tab2", "tab3"):
-            alone = run_exhibit(name, quick=True, seed=42, jobs=1)
+            alone = run_exhibits([name], quick=True, seed=42, jobs=1)[name]
             assert batch[name].text == alone.text
             assert batch[name].data == alone.data
 
@@ -181,17 +183,68 @@ class TestExhibitRun:
         the whole batch with the original error chained — not hang the
         shared pool in close()/join() behind queued points."""
         from repro.experiments import figures
-        from repro.experiments.config import ExperimentConfig
 
-        def poisoned(quick=True, seed=42, jobs=1):
-            config = ExperimentConfig(server="doubleface", concurrency=4,
-                                      fanout=3, response_size=100,
-                                      warmup=0.2, duration=0.4, seed=seed,
-                                      params={"no_such_param": 1})
-            figures._run_points([("only", config)], jobs)
+        def render(pairs, quick):
             raise AssertionError("unreachable: the worker raised")
 
-        monkeypatch.setitem(figures.EXHIBITS, "poisoned", poisoned)
+        poisoned = figures.Exhibit(
+            lambda quick, seed: [("only", _tiny_config(
+                seed, params={"no_such_param": 1}))], render)
+        monkeypatch.setattr(figures, "EXHIBITS",
+                            {**figures.EXHIBITS, "poisoned": poisoned})
         with pytest.raises(RuntimeError, match="poisoned") as excinfo:
             run_exhibits(["tab3", "poisoned"], quick=True, seed=42, jobs=2)
         assert isinstance(excinfo.value.__cause__, TypeError)
+
+    def test_traced_observed_interleaved_match_standalone(self):
+        """Traced + observed exhibits sharing one pool collect the same
+        text, data and artifact names as each exhibit run alone."""
+        flags = dict(quick=True, seed=42, trace=True, trace_sample=0.05,
+                     obs=True)
+        batch = run_exhibits(["tab2", "tab3"], jobs=2, **flags)
+        for name in ("tab2", "tab3"):
+            alone = run_exhibits([name], jobs=1, **flags)[name]
+            assert batch[name].text == alone.text
+            assert batch[name].data == alone.data
+            assert list(batch[name].data["prometheus"]) == \
+                list(alone.data["prometheus"])
+
+
+def _tiny_config(seed, **kw):
+    return ExperimentConfig(server="doubleface", concurrency=4, fanout=3,
+                            response_size=100, warmup=0.2, duration=0.4,
+                            seed=seed, **kw)
+
+
+class TestOnePool:
+    def test_all_traced_observed_runs_on_one_pool(self, monkeypatch,
+                                                  capsys):
+        """``--exhibit all --jobs 2 --trace --obs`` starts exactly one
+        worker pool for every exhibit, and prints each exhibit."""
+        from repro.experiments import cli, figures, parallel
+
+        def render(name):
+            return lambda pairs, quick: figures.ExhibitResult(
+                name, name, f"{name}: {len(pairs)} points")
+
+        tiny = {name: figures.Exhibit(
+            lambda quick, seed, n=n: [(i, _tiny_config(seed + i))
+                                      for i in range(n)], render(name))
+            for name, n in (("one", 1), ("two", 2), ("three", 3))}
+        monkeypatch.setattr(figures, "EXHIBITS", tiny)
+        monkeypatch.setattr(cli, "EXHIBITS", tiny)
+        pools = []
+
+        class CountingExecutor(parallel.BatchExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "BatchExecutor", CountingExecutor)
+        assert main(["--exhibit", "all", "--jobs", "2", "--trace",
+                     "--obs"]) == 0
+        assert len(pools) == 1
+        out = capsys.readouterr().out
+        for name, n in (("one", 1), ("two", 2), ("three", 3)):
+            assert f"{name}: {n} points" in out
+        assert "[3 exhibits regenerated (jobs=2)" in out

@@ -4,8 +4,9 @@ Three load-bearing properties:
 
 1. **Zero cost when off.**  With ``faults=None`` / ``resilience=None``
    (the defaults), every pre-existing exhibit must render byte-identical
-   output to the pre-faults codebase — pinned by a golden file recorded
-   before the subsystem landed.
+   output to the pre-faults codebase — pinned by the tab2 golden
+   (``golden/tab2.json``), whose text was recorded before the
+   subsystem landed.
 2. **Determinism under faults.**  An active :class:`FaultConfig` plus
    :class:`ResilienceConfig` must stay float-identical between
    ``jobs=1`` and ``jobs=4``: fault windows and jitter come from named
@@ -15,26 +16,20 @@ Three load-bearing properties:
 """
 
 import dataclasses
-import json
-from pathlib import Path
 
 import pytest
 
+from repro.experiments import run_exhibits
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import run_exhibit
 from repro.experiments.parallel import run_experiments
 from repro.faults import FaultConfig, ResilienceConfig
-
-GOLDEN = Path(__file__).parent / "golden_tab2_quick_seed42.json"
+from tests.experiments import goldens
 
 
 class TestGoldenWithFaultsOff:
     def test_tab2_byte_identical_to_pre_faults_golden(self):
-        golden = json.loads(GOLDEN.read_text())
-        result = run_exhibit("tab2", quick=True, seed=42, jobs=1)
-        assert result.exhibit == golden["exhibit"]
-        assert result.text == golden["text"]
-        assert result.data == golden["data"]
+        result = run_exhibits(["tab2"], quick=True, seed=42, jobs=1)["tab2"]
+        assert goldens.exhibit_record(result) == goldens.load("tab2")
 
 
 def _fault_grid(seed=11):
@@ -90,8 +85,10 @@ class TestFaultDeterminism:
         assert counters.get("resilience.hedge_wins", 0) > 0
 
     def test_hedging_exhibit_parallel_equals_serial(self):
-        serial = run_exhibit("hedging", quick=True, seed=42, jobs=1)
-        parallel = run_exhibit("hedging", quick=True, seed=42, jobs=4)
+        serial = run_exhibits(["hedging"], quick=True, seed=42,
+                              jobs=1)["hedging"]
+        parallel = run_exhibits(["hedging"], quick=True, seed=42,
+                                jobs=4)["hedging"]
         assert serial.text == parallel.text
         assert serial.data == parallel.data
 
@@ -157,9 +154,10 @@ class TestAttributionDeterminism:
         assert all(delay > 0 for delay in result.hedge_delays.values())
 
     def test_adaptive_hedge_exhibit_parallel_equals_serial(self):
-        serial = run_exhibit("adaptive_hedge", quick=True, seed=42, jobs=1)
-        parallel = run_exhibit("adaptive_hedge", quick=True, seed=42,
-                               jobs=4, transport="shm")
+        serial = run_exhibits(["adaptive_hedge"], quick=True, seed=42,
+                              jobs=1)["adaptive_hedge"]
+        parallel = run_exhibits(["adaptive_hedge"], quick=True, seed=42,
+                                jobs=4, transport="shm")["adaptive_hedge"]
         assert serial.text == parallel.text
         assert serial.data == parallel.data
 

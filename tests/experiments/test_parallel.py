@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (BatchExecutor, _chunksize,
+from repro.experiments.parallel import (BatchExecutor, iter_experiments,
                                         resolve_jobs, run_experiments)
 
 
@@ -39,17 +39,6 @@ class TestResolveJobs:
             resolve_jobs(-1)
 
 
-class TestChunksize:
-    def test_spreads_work_across_workers(self):
-        # 100 points over 4 workers: several chunks per worker, and no
-        # chunk so large one worker serialises the tail.
-        size = _chunksize(100, 4)
-        assert 1 <= size <= 100 // 4
-
-    def test_never_zero(self):
-        assert _chunksize(1, 8) == 1
-
-
 class TestSerialFallback:
     def test_empty_grid(self):
         assert run_experiments([], jobs=4) == []
@@ -62,6 +51,19 @@ class TestSerialFallback:
         configs = _tiny_grid()
         results = run_experiments(configs, jobs=1)
         assert [r.config for r in results] == configs
+
+
+class TestIterExperiments:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_is_yielded_with_its_position(self, jobs):
+        """Every point comes back once, tagged with its submission
+        position; a failed point yields its exception instead of
+        raising, serially and over the pool."""
+        configs = _tiny_grid()[:1] + [_poisoned_config()]
+        outcomes = dict(iter_experiments(configs, jobs=jobs))
+        assert sorted(outcomes) == [0, 1]
+        assert outcomes[0].config == configs[0]
+        assert isinstance(outcomes[1], TypeError)
 
 
 class TestParallelDeterminism:

@@ -16,10 +16,8 @@ Three load-bearing properties:
 """
 
 import dataclasses
-import json
 import pickle
 from array import array
-from pathlib import Path
 
 import pytest
 
@@ -30,8 +28,7 @@ from repro.experiments.parallel import (BatchExecutor, resolve_transport,
                                         run_experiments)
 from repro.experiments.transport import (ShmRing, decode_result,
                                          encode_result, shm_available)
-
-GOLDEN = Path(__file__).parent / "golden_tab2_quick_seed42.json"
+from tests.experiments import goldens
 
 needs_shm = pytest.mark.skipif(not shm_available(),
                                reason="no shared memory here")
@@ -284,9 +281,8 @@ class TestGoldenOverShm:
     def test_tab2_byte_identical_over_shm_workers(self):
         """The acceptance bar: a parallel shm-transport exhibit renders
         byte-identical output to the pinned serial golden."""
-        from repro.experiments.figures import run_exhibit
-        golden = json.loads(GOLDEN.read_text())
-        result = run_exhibit("tab2", quick=True, seed=42, jobs=2,
-                             transport="shm")
-        assert result.text == golden["text"]
-        assert result.data == golden["data"]
+        from repro.experiments import run_exhibits
+
+        result = run_exhibits(["tab2"], quick=True, seed=42, jobs=2,
+                              transport="shm")["tab2"]
+        assert goldens.exhibit_record(result) == goldens.load("tab2")
