@@ -3,7 +3,7 @@ paper exhibits as data with the one runner that executes them."""
 
 from .config import DATASTORE_KINDS, SERVER_KINDS, ExperimentConfig, ExperimentResult
 from .figures import EXHIBITS, Exhibit, ExhibitResult, run_exhibits
-from .parallel import iter_experiments, resolve_jobs, run_experiments
+from .parallel import resolve_jobs, run_experiments
 from .report import normalize, render_series, render_table
 from .runner import PERCENTILES, build_params, run_experiment
 
@@ -12,6 +12,5 @@ __all__ = [
     "ExperimentResult", "EXHIBITS", "Exhibit", "ExhibitResult",
     "run_exhibits",
     "normalize", "render_series", "render_table", "PERCENTILES",
-    "build_params", "run_experiment", "run_experiments",
-    "iter_experiments", "resolve_jobs",
+    "build_params", "run_experiment", "run_experiments", "resolve_jobs",
 ]

@@ -216,8 +216,8 @@ def _run(args) -> int:
     started = time.time()
 
     def show(name, result) -> None:
-        # Exhibits print as they complete: every exhibit's points share
-        # one pool, so the cheap ones are done long before the tails.
+        # Called as each exhibit's last point comes back: all exhibits
+        # share one pool, so with --jobs N the print order varies.
         print(result.text)
         print(f"[{name} regenerated in {time.time() - started:.1f}s "
               f"wall time]")

@@ -618,14 +618,14 @@ def _fault_point(kind: str, resilience: Optional[ResilienceConfig],
         replicas_per_shard=2, keep_selector_stats=False, **kw)
 
 
-def _fault_rows(data: Dict[str, Dict[str, float]], labels: Iterable[str],
+def _fault_rows(data: Dict[str, Dict[str, float]],
                 counters: Iterable[str]) -> List[list]:
-    """Table rows: p50 / p99 [ms] and throughput, then *counters*."""
-    return [[label, round(1e3 * data[label]["p50"], 2),
-             round(1e3 * data[label]["p99"], 2),
-             round(data[label]["throughput"])]
-            + [round(data[label][name]) for name in counters]
-            for label in labels]
+    """One table row per policy in *data*: p50 / p99 [ms] and
+    throughput, then *counters*."""
+    return [[label, round(1e3 * row["p50"], 2), round(1e3 * row["p99"], 2),
+             round(row["throughput"])]
+            + [round(row[name]) for name in counters]
+            for label, row in data.items()]
 
 
 def _fault_summary(result) -> Dict[str, float]:
@@ -673,7 +673,7 @@ def _fault_tail_render(pairs: Pairs, quick: bool) -> ExhibitResult:
         data[server_label][policy_label] = _fault_summary(result)
     sections = []
     for server_label, _kind in FAULT_SERVERS:
-        rows = _fault_rows(data[server_label], data[server_label],
+        rows = _fault_rows(data[server_label],
                            ("retries", "hedges", "failed_subqueries"))
         sections.append(render_table(
             f"Fault tail ({server_label}): slow-shard brown-out, "
@@ -705,7 +705,7 @@ def _hedging_render(pairs: Pairs, quick: bool) -> ExhibitResult:
     data: Dict[str, Dict[str, float]] = {}
     for label, result in pairs:
         data[label] = _fault_summary(result)
-    rows = _fault_rows(data, data, ("hedges", "hedge_wins", "retries"))
+    rows = _fault_rows(data, ("hedges", "hedge_wins", "retries"))
     text = render_table(
         "Hedging policies (DoubleFaceNetty, slow-shard brown-out)",
         ["policy", "p50 [ms]", "p99 [ms]", "tput [req/s]", "hedges",
@@ -780,7 +780,7 @@ def _fault_open_render(pairs: Pairs, quick: bool) -> ExhibitResult:
         data[server_label][policy_label] = summary
     sections = []
     for server_label, _kind in FAULT_OPEN_SERVERS:
-        rows = _fault_rows(data[server_label], data[server_label],
+        rows = _fault_rows(data[server_label],
                            ("rack_slowed", "hedges", "failovers"))
         sections.append(render_table(
             f"Rack fault, open workload ({server_label}): "
@@ -899,7 +899,7 @@ def _adaptive_hedge_render(pairs: Pairs, quick: bool) -> ExhibitResult:
         data[label] = summary
         summaries[label] = result.trace_summary
         delays[label] = result.hedge_delays
-    rows = _fault_rows(data, data, ("hedges", "hedge_wins", "hedge_clamped"))
+    rows = _fault_rows(data, ("hedges", "hedge_wins", "hedge_clamped"))
     text = render_table(
         "Adaptive hedging (DoubleFaceNetty): slow-shard brown-out + "
         "cross-rack asymmetry",
@@ -1042,7 +1042,7 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
                                   transport=transport)) as outcomes:
         for position, outcome in outcomes:
             name = owners[position]
-            if isinstance(outcome, Exception):
+            if isinstance(outcome, BaseException):
                 raise RuntimeError(f"exhibit {name!r} failed") from outcome
             results[position] = outcome
             pending[name] -= 1

@@ -82,8 +82,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
     Negative values are rejected here — at the mouth of every pool
     construction — so they can never reach ``multiprocessing.Pool``,
-    which reports them as an unhelpful ``ValueError`` of its own (or,
-    for ``Pool.map`` chunking, arbitrary misbehaviour).
+    which reports them as an unhelpful ``ValueError`` of its own.
     """
     if jobs is None or jobs == 0:
         return os.cpu_count() or 1
@@ -177,14 +176,14 @@ def _decode_payload(payload, ring: Optional[ShmRing]) -> ExperimentResult:
 
 #: What a run yields per point: its submission position, and its result
 #: or the exception it raised.
-Outcome = Tuple[int, Union[ExperimentResult, Exception]]
+Outcome = Tuple[int, Union[ExperimentResult, BaseException]]
 
 
 def _gather(outcomes: Iterable[Outcome], count: int) -> List[ExperimentResult]:
     """Results in submission order; the first failure is raised."""
     results: List[Optional[ExperimentResult]] = [None] * count
     for position, outcome in outcomes:
-        if isinstance(outcome, Exception):
+        if isinstance(outcome, BaseException):
             raise outcome
         results[position] = outcome
     return results
@@ -286,8 +285,7 @@ class BatchExecutor:
         """
         configs = list(configs)
         task = _run_columnar if self._ring is not None else _run_pickled
-        done: "queue.SimpleQueue[Tuple[int, object, bool]]" = \
-            queue.SimpleQueue()
+        done = queue.SimpleQueue()  # (position, payload, ok)
         for position in _cost_order(configs):
             self._pool.apply_async(
                 task, (configs[position],),

@@ -6,9 +6,9 @@ argument handling, and one fast exhibit end-to-end.
 
 import pytest
 
+from repro.experiments import EXHIBITS, run_exhibits
 from repro.experiments.cli import build_parser, main
 from repro.experiments.config import ExperimentConfig
-from repro.experiments import EXHIBITS, run_exhibits
 
 
 class TestRegistry:
