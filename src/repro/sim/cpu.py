@@ -19,12 +19,13 @@ models a node's cores explicitly, with Linux-like semantics:
 
 Hot-path notes (see DESIGN.md "Scheduler hot path"): metric names are
 interned once into handle objects, fire-and-forget work can skip the
-completion :class:`Event` via :meth:`Cpu.execute_then`, and a core whose
-run queue is empty *coalesces* its whole stint into one completion event
-instead of per-quantum slices.  Coalescing is an event-count
-optimisation only — every timestamp, charge, and counter it produces is
-bit-identical to the sliced schedule (the deferred per-slice charges are
-committed lazily, in global charge order, by
+completion :class:`Event` via :meth:`Cpu.execute_then`, an ``execute``
+completion is one kernel step (run inline when nothing else is due), and
+a core whose run queue is empty *coalesces* its whole stint into one
+completion event instead of per-quantum slices.  Coalescing is an
+event-count optimisation only — every timestamp, charge, and counter it
+produces is bit-identical to the sliced schedule (the deferred per-slice
+charges are committed lazily, in global charge order, by
 :meth:`CpuAccounting.co_sync` before any read).
 """
 
@@ -421,11 +422,35 @@ class Cpu:
         if not state.jobs:
             self._load_delta(-1)
         done = job.done
-        if done is not None:
-            done.succeed()
-        elif job.fn is not None:
-            job.fn(job.arg)
-        self.sim.call_later(0.0, self._decide, (core, state))
+        if done is None:
+            if job.fn is not None:
+                job.fn(job.arg)
+            self.sim.call_later(0.0, self._decide, (core, state))
+            return
+        # One kernel step (_finish) replaces done.succeed() plus
+        # call_later(0.0, _decide): those two entries shared a time and
+        # had adjacent seqs, so they always dispatched back to back.
+        # Both callers (_slice_done, _co_done) are dispatched callbacks
+        # that return right after this, so when nothing else is due now
+        # the step runs inline; the loop would have dispatched it next.
+        done.triggered = True
+        sim = self.sim
+        if sim._due_now():
+            sim.call_later(0.0, self._finish, (core, state, done))
+        else:
+            sim._event_count += 1
+            self._finish((core, state, done))
+
+    def _finish(self, args) -> None:
+        """Completion step of an ``execute`` job: process the done event
+        (resume its waiters), then :meth:`_decide` the core's next move."""
+        done = args[2]
+        callbacks = done.callbacks
+        done.callbacks = None
+        done.processed = True
+        for callback in callbacks:
+            callback(done)
+        self._decide(args)
 
     # -- stint coalescing --------------------------------------------------
 
@@ -496,7 +521,9 @@ class Cpu:
         self._next_thread(core)
 
     def _decide(self, args) -> None:
-        core, state = args
+        # args is (core, state), or _finish's (core, state, done).
+        core = args[0]
+        state = args[1]
         if state.runnable:
             # The thread continued (issued more work in the same instant).
             if core.stint_used < self.params.quantum or not self._run_queue:

@@ -45,7 +45,10 @@ Entries live in one of three places, by virtual bucket
   index (``_apos``), not by popping, and new same-instant entries are
   ``bisect.insort``-ed — because fresh entries carry the largest ``seq``,
   they land at (or near) the tail, so the insert is O(1) memmove in the
-  common case.
+  common case.  Both :meth:`Simulator.run` and :meth:`Simulator.step`
+  keep ``_apos`` current while a callback runs (it already points past
+  the entry being dispatched), so a callback can ask whether anything
+  else is due at ``now`` (``Simulator._due_now``).
 - ``_buckets`` — a power-of-two ring of unsorted lists covering one
   *revolution* of virtual buckets ``(_vb, _vb + nbuckets)``.  Pushing is
   a plain ``list.append``; a bucket is sorted only when it becomes the
@@ -592,6 +595,24 @@ class Simulator:
             if len(active) > self._active_limit:
                 self._pending_resize = True
 
+    def _due_now(self) -> bool:
+        """True if another queue entry is due at ``now``.
+
+        Only the active list after the cursor can hold one: bucket-ring
+        and far-heap entries lie in later virtual buckets, so strictly
+        after ``now``.  A cancelled :class:`Timeout` at ``now`` counts
+        as due (the conservative answer).
+
+        Valid only from a dispatched callback in *tail position* — one
+        whose caller returns straight to the dispatch loop — since the
+        cursor is only meaningful there.  Such a callback may then run a
+        follow-up step for ``now`` inline instead of queueing it: when
+        nothing is due, the loop would have dispatched that entry next.
+        """
+        active = self._active
+        apos = self._apos
+        return apos < len(active) and active[apos][0] <= self.now
+
     # -- calendar maintenance -------------------------------------------
 
     def _drain_far(self) -> None:
@@ -786,21 +807,20 @@ class Simulator:
         # the active list and cursor held in locals.  Callbacks may
         # insort into the active list but never rebind it (restructures
         # go through the _pending_resize flag, checked each iteration),
-        # so the local alias stays valid.  _apos/_event_count are settled
-        # in `finally` so a callback that raises (e.g. an unobserved
-        # process failure) can't lose the cursor or the tally.
+        # so the local alias stays valid.  The cursor is mirrored into
+        # _apos before every dispatch, as step() does, so callbacks can
+        # ask _due_now() and a raising callback can't lose it;
+        # _event_count is settled in `finally` for the same reason.
         active = self._active
         apos = self._apos
         count = 0
         try:
             while True:
                 if self._pending_resize:
-                    self._apos = apos
                     self._resize()
                     active = self._active
                     apos = 0
                 if apos >= len(active):
-                    self._apos = apos
                     if not self._refill():
                         break
                     active = self._active
@@ -811,6 +831,7 @@ class Simulator:
                 if when > bound:
                     break
                 apos += 1
+                self._apos = apos
                 if len(item) == 3:
                     event = item[2]
                     # Inlined Event._run_callbacks (one method call per
@@ -831,7 +852,6 @@ class Simulator:
                     count += 1
                     item[2](item[3])
         finally:
-            self._apos = apos
             self._event_count += count
         if until is not None:
             self.now = until

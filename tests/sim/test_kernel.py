@@ -458,3 +458,123 @@ class TestKernelEdgeCases:
         sim.run()
         assert fired == [0.002]
         assert sim._event_count == 1
+
+
+def _drive(sim, mode):
+    if mode == "run":
+        sim.run()
+    else:
+        while sim.step():
+            pass
+
+
+@pytest.mark.parametrize("mode", ["run", "step"])
+class TestDueNow:
+    """``Simulator._due_now()``: is another entry due at ``now``?  Asked
+    from dispatched callbacks, under run() and under a step() loop."""
+
+    def test_idle_when_only_later_entries_pend(self, mode):
+        sim = Simulator()
+        seen = []
+        sim.call_later(0.0, lambda _: seen.append(
+            (sim._due_now(), sim._nbucket, sim._nfar)))
+        sim.timeout(1e-5)    # same bucket as now, but later
+        sim.timeout(1e-3)    # a later bucket of the ring
+        sim.timeout(1e3)     # beyond the ring: the far heap
+        _drive(sim, mode)
+        assert seen == [(False, 1, 1)]
+
+    def test_idle_when_active_list_exhausted(self, mode):
+        sim = Simulator()
+        seen = []
+        sim.timeout(0.5).add_callback(lambda _: seen.append(
+            (sim._apos == len(sim._active), sim._due_now())))
+        sim.timeout(2e3)
+        _drive(sim, mode)
+        assert seen == [(True, False)]
+
+    def test_busy_when_another_entry_is_at_now(self, mode):
+        sim = Simulator()
+        seen = []
+
+        def ask(tag):
+            seen.append((tag, sim._due_now()))
+
+        def schedule_then_ask(_):
+            sim.call_later(0.0, ask, "queued")
+            ask("scheduler")
+
+        sim.call_later(0.0, ask, "first")
+        sim.call_later(0.0, ask, "second")
+        sim.call_later(0.25, schedule_then_ask)
+        _drive(sim, mode)
+        assert seen == [("first", True), ("second", False),
+                        ("scheduler", True), ("queued", False)]
+
+    def test_cancelled_timeout_at_now_counts_as_due(self, mode):
+        sim = Simulator()
+        seen = []
+        sim.call_later(0.0, lambda _: seen.append(sim._due_now()))
+        sim.timeout(0.0).cancel()
+        _drive(sim, mode)
+        assert seen == [True]
+        assert sim._event_count == 1
+
+    def test_pending_resize_leaves_answer_correct(self, mode):
+        sim = Simulator()
+        sim._active_limit = 4   # a small burst raises the resize flag
+        seen = []
+
+        def ask(tag):
+            seen.append((tag, sim._due_now()))
+
+        def burst(_):
+            for _ in range(5):
+                sim.call_at(1e-5, ask, "later")  # same bucket, later
+            seen.append(("flagged", sim._pending_resize))
+            ask("burst")
+            sim.call_later(0.0, ask, "now")
+            ask("burst+1")
+
+        sim.call_later(0.0, burst)
+        _drive(sim, mode)
+        assert seen == ([("flagged", True), ("burst", False),
+                         ("burst+1", True), ("now", False)]
+                        + [("later", True)] * 4 + [("later", False)])
+
+
+def test_run_and_step_loop_agree_with_inline_cpu_steps():
+    """CPU completions run their step inline when nothing else is due,
+    which relies on the cursor being current during dispatch: run() and
+    a manual step() loop must still give the same firing trace and the
+    same _event_count."""
+    from repro.sim.cpu import Cpu
+    from repro.sim.metrics import Metrics
+    from repro.sim.params import CostParams
+    from repro.sim.threads import SimThread
+
+    def build():
+        sim = Simulator()
+        cpu = Cpu(sim, Metrics(), CostParams(), cores=2)
+        trace = []
+
+        def worker(index):
+            thread = SimThread(cpu)
+            for k in range(5):
+                yield cpu.execute(thread, 4e-4 * (index + 1) * (k + 1))
+                trace.append((sim.now, index, k))
+                if k % 2:
+                    yield sim.timeout(1e-4 * index)
+
+        for index in range(3):
+            sim.process(worker(index))
+        return sim, trace
+
+    run_sim, run_trace = build()
+    run_sim.run()
+    step_sim, step_trace = build()
+    _drive(step_sim, "step")
+    assert len(run_trace) == 15
+    assert run_trace == step_trace
+    assert run_sim._event_count == step_sim._event_count
+    assert run_sim.now == step_sim.now
