@@ -391,9 +391,10 @@ def check_regression(metrics: dict, trajectory: dict,
     times their baseline (0 = pass).  Metrics the baseline entry does
     not carry are skipped.
     """
-    # The trajectory file is shared with other benchmarks (e.g.
-    # bench_transport): baseline = the newest entry that actually
-    # carries kernel events/sec metrics, not just entries[-1].
+    # The trajectory file also holds other benchmarks' entries (e.g.
+    # the historical result-transport ones): baseline = the newest
+    # entry that actually carries kernel events/sec metrics, not just
+    # entries[-1].
     baseline = None
     for entry in reversed(trajectory.get("entries", [])):
         if any(k.endswith("_events_per_sec") for k in entry["metrics"]):

@@ -37,14 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
              "serial; 0 = one per CPU).  Results are identical for any "
              "N — points fan out but merge in declared order.")
     parser.add_argument(
-        "--transport", choices=["shm", "pickle"], default=None,
-        help="worker→parent result transport with --jobs > 1: 'shm' "
-             "moves results as packed float columns through a "
-             "shared-memory ring (default where available), 'pickle' "
-             "is the classic per-result pickle over the pool pipe.  "
-             "Results are byte-identical either way; irrelevant with "
-             "--jobs 1.")
-    parser.add_argument(
         "--trace", action="store_true",
         help="run every experiment point with deterministic span "
              "tracing: appends a critical-path breakdown table to each "
@@ -224,8 +216,8 @@ def _run(args) -> int:
         print()
 
     results = run_exhibits(names, quick=not args.full, seed=args.seed,
-                           jobs=args.jobs, transport=args.transport,
-                           trace=args.trace, trace_sample=args.trace_sample,
+                           jobs=args.jobs, trace=args.trace,
+                           trace_sample=args.trace_sample,
                            trace_exemplars=args.trace_exemplars,
                            obs=args.obs, obs_period=args.obs_period,
                            on_result=show)

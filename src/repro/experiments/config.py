@@ -176,7 +176,7 @@ class ExperimentResult:
 
     Bulk measurements (thread samples, optional raw latency samples)
     are stored as flat ``array('d')`` columns so the parallel runner's
-    shared-memory transport can move them as packed float buffers; the
+    result codec can ship them as packed float buffers; the
     ``thread_samples`` / ``latency_samples`` properties materialise the
     classic list-of-(time, value)-tuples view on demand, so exhibit and
     report code consumes results unchanged.

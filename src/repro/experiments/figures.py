@@ -979,7 +979,6 @@ def _render(name: str, points: List[Tuple[Any, ExperimentConfig,
 
 def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
                  jobs: Optional[int] = 1,
-                 transport: Optional[str] = None,
                  trace: bool = False, trace_sample: float = 0.01,
                  trace_exemplars: int = 3,
                  obs: bool = False,
@@ -992,11 +991,10 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
     them in-process, N fans them over N worker processes, 0/None uses
     one worker per CPU.  The pool takes the points heaviest first
     whatever exhibit declared them, so the long tail-window points
-    overlap with the cheap table grids.  ``transport`` picks the
-    worker→parent result path (``"shm"`` / ``"pickle"`` / ``None`` =
-    auto).  Results are identical for any combination, and each
-    exhibit's result equals running it alone.  ``on_result(name,
-    result)`` is called as each exhibit completes, in completion order.
+    overlap with the cheap table grids.  Results are identical for any
+    ``jobs``, and each exhibit's result equals running it alone.
+    ``on_result(name, result)`` is called as each exhibit completes, in
+    completion order.
 
     ``trace=True`` runs every point with span tracing at
     ``trace_sample`` probability (overriding any rate an exhibit sets):
@@ -1038,8 +1036,7 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
     results: List[Optional[ExperimentResult]] = [None] * len(configs)
     pending = {name: owners.count(name) for name in names}
     rendered: Dict[str, ExhibitResult] = {}
-    with closing(iter_experiments(configs, jobs=jobs,
-                                  transport=transport)) as outcomes:
+    with closing(iter_experiments(configs, jobs=jobs)) as outcomes:
         for position, outcome in outcomes:
             name = owners[position]
             if isinstance(outcome, BaseException):

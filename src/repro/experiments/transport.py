@@ -1,55 +1,38 @@
-"""Columnar result transport for the parallel experiment runner.
+"""Columnar result codec for the parallel experiment runner.
 
-``Pool.map`` used to move every :class:`ExperimentResult` across the
-worker→parent boundary as one pickled object graph.  For bulky results
-(tail exhibits with thousands of latency/thread samples) that pays the
-full serialize → pipe-copy → deserialize cost twice per point, and the
-parent's merge loop — which is serial — pays most of it.  This module
-splits a result into:
+Every pooled point hands its :class:`ExperimentResult` back to the
+parent through the pool's result pipe.  Rather than pickling the whole
+object graph, a worker splits the result into:
 
 - a **header**: a small dict holding the config, the column layout
   (key lists, section lengths), and the few irregular fields
-  (``selector_stats``); still pickled, but tiny and O(1) in the sample
-  count; and
+  (``selector_stats``, phases); pickled, but tiny and O(1) in the
+  sample count; and
 - packed **float columns**: one flat ``float64`` buffer concatenating
   the scalar row, the percentile tables (overall and per-class), the
   CPU-share row, the fault counters, and the (time, value) sample
   columns that :mod:`repro.sim.metrics` already collects columnar.
 
-Workers write the columns straight into a :class:`ShmRing` — a
-``multiprocessing.shared_memory`` segment shared by the whole pool —
-and return only the header plus a ``(offset, nbytes)`` ticket through
-the result pipe.  The parent rebuilds the result from the mapped
-buffer: no serialization and no pipe copy for the bulk data, just the
-worker's single memcpy in and the parent's single memcpy out.
-
-Fallbacks keep every path correct:
-
-- ring full (slow parent, tiny ring) → the worker returns the column
-  bytes inline through the pipe instead (still columnar, still one
-  buffer);
-- ``multiprocessing.shared_memory`` unavailable → the runner drops to
-  the classic whole-result pickle transport;
-- ``jobs=1`` → no transport at all: results never leave the process.
+The worker ships the pickled header and the raw column bytes inline
+through the pipe; the parent rebuilds the result with
+:func:`decode_result`.  ``jobs=1`` uses no codec at all: results never
+leave the process.
 
 ``decode_result(encode_result(r)...)`` is an exact identity — every
 float crosses as its 8-byte representation and every dict preserves
-insertion order — so shm, pickle, and serial runs stay byte-identical.
+insertion order — so pooled and serial runs stay byte-identical.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from array import array
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..trace import (flame_columns, flame_from_columns, summary_columns,
                      summary_from_columns)
 from .config import ExperimentResult
 
-__all__ = ["encode_result", "decode_result", "ShmRing", "RingSpec",
-           "shm_available"]
+__all__ = ["encode_result", "decode_result"]
 
 #: Scalar result fields packed, in this order, at the head of the
 #: column buffer.
@@ -70,7 +53,7 @@ def encode_result(result: ExperimentResult) -> Tuple[Dict[str, Any], array]:
 
     The header is a small picklable dict (config, key lists, section
     lengths, selector stats); ``columns`` is one flat ``array('d')``
-    ready to be memcpy'd into shared memory or shipped as bytes.
+    ready to ship as raw bytes.
     """
     columns = array("d", (getattr(result, name) for name in SCALAR_FIELDS))
     qs = tuple(result.percentiles)
@@ -149,8 +132,8 @@ def _take(view: memoryview, lo: int, n: int) -> array:
 
 def decode_result(header: Dict[str, Any], buffer) -> ExperimentResult:
     """Rebuild the exact :class:`ExperimentResult` from a header and
-    the raw column bytes (any buffer-protocol object: a shared-memory
-    slice, ``bytes`` from the inline fallback, or the ``array`` itself).
+    the raw column bytes (any buffer-protocol object: the ``bytes`` a
+    worker shipped, or the ``array`` itself).
     """
     view = memoryview(buffer).cast("B")
     n_columns = header["n_columns"]
@@ -188,12 +171,12 @@ def decode_result(header: Dict[str, Any], buffer) -> ExperimentResult:
     latency_values = _take(view, pos + n_latency, n_latency)
     pos += 2 * n_latency
     trace_summary = None
-    if header.get("trace") is not None:
+    if header["trace"] is not None:
         trace_summary = summary_from_columns(
             header["trace"], _take(view, pos, header["n_trace"]))
-    pos += header.get("n_trace", 0)
-    obs_names = tuple(header.get("obs_names", ()))
-    n_obs = header.get("n_obs", 0)
+    pos += header["n_trace"]
+    obs_names = tuple(header["obs_names"])
+    n_obs = header["n_obs"]
     obs_times, obs_values = array("d"), []
     if obs_names:
         obs_times = _take(view, pos, n_obs)
@@ -202,7 +185,7 @@ def decode_result(header: Dict[str, Any], buffer) -> ExperimentResult:
             obs_values.append(_take(view, pos, n_obs))
             pos += n_obs
     flame = None
-    if header.get("flame") is not None:
+    if header["flame"] is not None:
         flame = flame_from_columns(
             header["flame"], _take(view, pos, header["n_flame"]))
         pos += header["n_flame"]
@@ -222,183 +205,7 @@ def decode_result(header: Dict[str, Any], buffer) -> ExperimentResult:
         obs_names=obs_names,
         obs_times=obs_times,
         obs_values=obs_values,
-        phases=[tuple(p) for p in header.get("phases", [])],
+        phases=[tuple(p) for p in header["phases"]],
         flame=flame,
         **scalars,
     )
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory ring
-# ---------------------------------------------------------------------------
-
-_AVAILABLE: Optional[bool] = None
-
-
-def shm_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` actually works here
-    (importable *and* a segment can be created — some sandboxes mount
-    no /dev/shm).  Probed once, then cached."""
-    global _AVAILABLE
-    if _AVAILABLE is None:
-        try:
-            from multiprocessing import shared_memory
-            probe = shared_memory.SharedMemory(create=True, size=16)
-            probe.close()
-            probe.unlink()
-            _AVAILABLE = True
-        except Exception:
-            _AVAILABLE = False
-    return _AVAILABLE
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """Everything a worker needs to attach to a parent's ring.  Passed
-    through ``Pool(initializer=...)``, so the lock and cursors travel
-    over the process-creation channel (the only one that can carry
-    multiprocessing primitives)."""
-
-    name: str
-    size: int
-    lock: Any
-    head: Any
-    freed: Any
-
-
-def _attach_segment(name: str):
-    """Attach to an existing segment without letting the resource
-    tracker claim (and later unlink) it — only the creating parent
-    owns cleanup.  Spawned workers share the parent's tracker process,
-    so a register/unregister pair per worker would race (the tracker
-    holds one entry per name); suppressing the register is the only
-    side-effect-free option before Python 3.13's ``track=False``."""
-    from multiprocessing import shared_memory
-    try:
-        # Python >= 3.13 grew an explicit opt-out.
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
-    from multiprocessing import resource_tracker
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-class ShmRing:
-    """A coarse multi-producer ring over one shared-memory segment.
-
-    Workers :meth:`reserve` regions with a bump cursor (``head``) under
-    a shared lock and memcpy their column buffers in; the parent
-    :meth:`release`\\ s each region after decoding it (``freed``).  When
-    the cursor reaches the end it restarts from offset 0 — but only at
-    a drain point (``head == freed``, i.e. every reserved byte has been
-    consumed), which the linear allocation order makes safe.  If the
-    ring is full and not drained, :meth:`write` returns ``None`` and
-    the caller falls back to shipping the bytes inline; correctness
-    never depends on capacity.
-
-    The creating process owns the segment: :meth:`destroy` closes and
-    unlinks it on every exit path (`BatchExecutor.__exit__`, the
-    ``finally`` in ``run_experiments``), including error paths where
-    outstanding tickets are simply abandoned with the segment.
-    """
-
-    def __init__(self, spec: RingSpec, segment, owner: bool) -> None:
-        self._spec = spec
-        self._segment = segment
-        self._owner = owner
-        self._destroyed = False
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def create(cls, size: int, ctx=None) -> "ShmRing":
-        """Parent side: allocate the segment and the shared cursors."""
-        from multiprocessing import shared_memory
-        ctx = ctx or multiprocessing.get_context("spawn")
-        segment = shared_memory.SharedMemory(create=True, size=size)
-        spec = RingSpec(name=segment.name, size=size, lock=ctx.Lock(),
-                        head=ctx.Value("Q", 0, lock=False),
-                        freed=ctx.Value("Q", 0, lock=False))
-        return cls(spec, segment, owner=True)
-
-    @classmethod
-    def attach(cls, spec: RingSpec) -> "ShmRing":
-        """Worker side: map the parent's segment."""
-        return cls(spec, _attach_segment(spec.name), owner=False)
-
-    def spec(self) -> RingSpec:
-        return self._spec
-
-    @property
-    def size(self) -> int:
-        return self._spec.size
-
-    # -- allocation ------------------------------------------------------
-
-    @staticmethod
-    def _aligned(nbytes: int) -> int:
-        return (nbytes + _ITEMSIZE - 1) & ~(_ITEMSIZE - 1)
-
-    def reserve(self, nbytes: int) -> Optional[int]:
-        """Claim *nbytes* (rounded up to an 8-byte boundary); returns
-        the offset, or ``None`` when the ring is full."""
-        need = self._aligned(nbytes)
-        spec = self._spec
-        with spec.lock:
-            head = spec.head.value
-            if head + need > spec.size:
-                if spec.head.value != spec.freed.value or need > spec.size:
-                    return None
-                # Drained: every reserved byte was released, so no
-                # live ticket can alias the restarted region.
-                spec.freed.value = 0
-                head = 0
-            spec.head.value = head + need
-            return head
-
-    def release(self, nbytes: int) -> None:
-        """Parent side: return a decoded ticket's bytes to the ring."""
-        spec = self._spec
-        with spec.lock:
-            spec.freed.value += self._aligned(nbytes)
-
-    # -- data ------------------------------------------------------------
-
-    def write(self, columns: array) -> Optional[Tuple[int, int]]:
-        """Copy *columns* into the ring; ``(offset, nbytes)`` ticket,
-        or ``None`` when there is no room (caller ships inline)."""
-        nbytes = len(columns) * columns.itemsize
-        offset = self.reserve(nbytes)
-        if offset is None:
-            return None
-        self._segment.buf[offset:offset + nbytes] = \
-            memoryview(columns).cast("B")
-        return offset, nbytes
-
-    def view(self, offset: int, nbytes: int) -> memoryview:
-        """A zero-copy view of a written region (valid until
-        :meth:`release` / :meth:`destroy`)."""
-        return self._segment.buf[offset:offset + nbytes]
-
-    # -- lifecycle -------------------------------------------------------
-
-    def destroy(self) -> None:
-        """Unmap — and, in the owning parent, unlink — the segment.
-        Idempotent, safe on error paths."""
-        if self._destroyed:
-            return
-        self._destroyed = True
-        try:
-            self._segment.close()
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
-        if self._owner:
-            try:
-                self._segment.unlink()
-            except Exception:  # pragma: no cover - already gone
-                pass

@@ -7,7 +7,7 @@ package watches the *system* over simulated time:
   simulation clock samples gauges (per-shard queue depths, hedge and
   retry rates, replica routing state, CPU run-queue depth) into one
   columnar :class:`~repro.sim.metrics.GaugeBoard` that rides the
-  shared-memory result transport;
+  pooled result transport;
 - :mod:`repro.obs.prometheus` — renders a finished run's end state
   (latency quantiles, counters, last gauge values, workload phases)
   in the Prometheus text exposition format.
@@ -15,8 +15,8 @@ package watches the *system* over simulated time:
 Everything is observation-only and seed-deterministic: the ticker
 draws no randomness and mutates nothing, so an observed run's measured
 results are float-identical to the same run unobserved, and the
-sampled series are a pure function of the seed across ``--jobs`` and
-transport settings.
+sampled series are a pure function of the seed across ``--jobs``
+settings.
 """
 
 from .prometheus import prometheus_snapshot, render_prometheus, \

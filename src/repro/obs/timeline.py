@@ -13,8 +13,7 @@ Determinism contract (the same one :mod:`repro.trace` keeps):
   so measured results are float-identical with the ticker on or off
   (asserted by the observability integration tests);
 - tick times and every sampled value are pure functions of the seed,
-  so the series are identical across ``--jobs 1`` / ``--jobs N`` and
-  shm / pickle transports.
+  so the series are identical across ``--jobs 1`` / ``--jobs N``.
 
 Gauge vocabulary (columns appear in this order):
 

@@ -376,7 +376,7 @@ class GaugeBoard:
     column, the telemetry ticker samples tens of gauges at every tick —
     a shared time column plus one ``array('d')`` value column per gauge
     keeps that O(gauges) floats per tick with no per-sample boxing, and
-    the columns ride the shared-memory result transport as-is.
+    the columns ride the pooled result transport as-is.
     """
 
     __slots__ = ("names", "_times", "_columns")

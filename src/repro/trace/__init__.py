@@ -16,8 +16,7 @@ behavioural changes (golden results stay byte-identical).
 :mod:`repro.trace.critical_path` attributes each traced request's
 end-to-end latency into exact, additive categories;
 :mod:`repro.trace.export` renders Chrome ``trace_event`` JSON and the
-compact columnar summary that rides the shared-memory result
-transport.
+compact columnar summary that rides the pooled result transport.
 """
 
 from .critical_path import (CATEGORIES, additivity_residual, attribute)

@@ -4,7 +4,7 @@
 JSON-able dict (per-class counts, additive category sums, and the
 slowest exemplar traces with their full span lists).  The summary is
 what rides on :class:`ExperimentResult` and therefore must survive the
-shared-memory result transport float-for-float:
+pooled result transport float-for-float:
 :func:`summary_columns` splits it into a small structure header plus
 one flat float column, and :func:`summary_from_columns` is its exact
 inverse (``decode(encode(s)) == s``).
@@ -80,8 +80,8 @@ def summary_columns(summary: Dict[str, Any]
     """Split a summary into ``(structure, floats)``.
 
     *structure* holds everything non-numeric (names, shapes) and is
-    small/O(classes); *floats* is one flat column the result transport
-    memcpys through the shared-memory ring.
+    small/O(classes); *floats* is one flat column that rides the
+    result transport's packed float buffer.
     """
     structure = {
         "sample_rate": summary["sample_rate"],

@@ -31,12 +31,12 @@ Fold rules (see DESIGN.md "Observability"):
 
 Everything is a pure function of the seed: the fold visits traces in
 finish order and spans in record order, both deterministic, so the
-float sums are bit-identical across ``--jobs`` and transport settings.
+float sums are bit-identical across ``--jobs`` settings.
 
 Exporters: :func:`collapsed_stacks` (flamegraph.pl collapsed-stack
 text), :func:`speedscope_doc` (speedscope JSON), and the
 :func:`flame_columns` / :func:`flame_from_columns` codec that rides
-the shared-memory result transport.
+the pooled result transport.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def merge_flames(flames: Dict[str, Optional[Dict[str, Any]]]
 def flame_columns(flame: Dict[str, Any]
                   ) -> Tuple[Dict[str, Any], List[float]]:
     """Split a flame summary into ``(structure, floats)`` for the
-    shared-memory result transport (same contract as
+    pooled result transport (same contract as
     :func:`repro.trace.export.summary_columns`)."""
     structure = {
         "frames": list(flame["frames"]),

@@ -134,14 +134,13 @@ def _attribution_grid(seed=11):
 
 
 class TestAttributionDeterminism:
-    def test_attribution_grid_shm_parallel_equals_serial(self):
+    def test_attribution_grid_parallel_equals_serial(self):
         """The attribution digest is plain float arithmetic on the
         winning attempts' wire stamps — no RNG, no wall clock — so
-        jobs=1 and jobs=4 over the shm columnar transport stay
+        jobs=1 and jobs=4 over the columnar result transport stay
         float-identical, learned per-shard delays included."""
         serial = run_experiments(_attribution_grid(), jobs=1)
-        parallel = run_experiments(_attribution_grid(), jobs=4,
-                                   transport="shm")
+        parallel = run_experiments(_attribution_grid(), jobs=4)
         for ours, theirs in zip(serial, parallel):
             assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
 
@@ -157,7 +156,7 @@ class TestAttributionDeterminism:
         serial = run_exhibits(["adaptive_hedge"], quick=True, seed=42,
                               jobs=1)["adaptive_hedge"]
         parallel = run_exhibits(["adaptive_hedge"], quick=True, seed=42,
-                                jobs=4, transport="shm")["adaptive_hedge"]
+                                jobs=4)["adaptive_hedge"]
         assert serial.text == parallel.text
         assert serial.data == parallel.data
 
