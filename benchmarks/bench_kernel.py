@@ -3,7 +3,7 @@
 Measures the hot paths the exhibit harness spends its time in:
 
 - ``timeout_events_per_sec`` — pure kernel: many processes chaining
-  short timeouts (calendar-queue push/dispatch, ``Process._resume``,
+  short timeouts (event-queue push/dispatch, ``Process._resume``,
   callbacks).
 - ``queue_events_per_sec`` — kernel + :class:`repro.sim.resources.Queue`
   hand-off (producer/consumer pairs, the reactor-mailbox pattern).

@@ -23,13 +23,13 @@ fully deterministic: ties in time are broken by a monotonically
 increasing sequence number, so two runs with the same seed produce
 byte-identical traces.
 
-Scheduling structure (calendar queue)
--------------------------------------
+Scheduling structure (one binary heap)
+--------------------------------------
 
-The scheduler is a *calendar queue* rather than a single binary heap.
+Every pending entry lives in one ``heapq`` list, ``Simulator._queue``.
 Entries are tuples whose first two fields are always ``(time, seq)``;
 ``seq`` is globally unique, so tuple comparison never reaches the third
-field and the total order is exactly the guarded ``(time, seq)`` order.
+field and the heap order is exactly the guarded ``(time, seq)`` order.
 Two entry shapes coexist:
 
 - ``(t, seq, event)`` — a triggered :class:`Event` to dispatch, and
@@ -37,39 +37,19 @@ Two entry shapes coexist:
   (no Event object allocated at all; used for fire-and-forget work such
   as network message delivery and CPU slice completions).
 
-Entries live in one of three places, by virtual bucket
-``vb = int(t * inv_width)``:
-
-- ``_active`` — an ascending-sorted list holding every entry with
-  ``vb <= _vb`` (the consumed horizon).  It is consumed by advancing an
-  index (``_apos``), not by popping, and new same-instant entries are
-  ``bisect.insort``-ed — because fresh entries carry the largest ``seq``,
-  they land at (or near) the tail, so the insert is O(1) memmove in the
-  common case.  Both :meth:`Simulator.run` and :meth:`Simulator.step`
-  keep ``_apos`` current while a callback runs (it already points past
-  the entry being dispatched), so a callback can ask whether anything
-  else is due at ``now`` (``Simulator._due_now``).
-- ``_buckets`` — a power-of-two ring of unsorted lists covering one
-  *revolution* of virtual buckets ``(_vb, _vb + nbuckets)``.  Pushing is
-  a plain ``list.append``; a bucket is sorted only when it becomes the
-  new ``_active`` (Timsort on an almost-sorted run, since appends arrive
-  in ``seq`` order).
-- ``_far`` — a binary-heap fallback for entries beyond the current
-  revolution (think-time pauses, idle timeouts).  It is drained into the
-  ring as the horizon advances.
-
-When occupancy drifts (more than ~2 entries per bucket, or the ring is
-nearly empty) the next refill *resizes*: bucket width is re-derived from
-the observed span of pending entries and everything is re-placed.
-Cancelled :class:`Timeout` entries (``callbacks is None``) are skipped at
-dispatch without counting and dropped wholesale during a resize.
+Every push is one ``heappush``; :meth:`Simulator.run`,
+:meth:`Simulator.step` and :meth:`Simulator.peek` take entries from the
+head.  An entry is popped before its callback runs, so during dispatch
+the head is the next entry and a callback can ask whether anything else
+is due at ``now`` (``Simulator._due_now``).  Cancelled :class:`Timeout`
+entries (``callbacks is None``) stay in the heap and are skipped at
+dispatch without counting.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -85,19 +65,6 @@ __all__ = [
 
 #: Sentinel yielded value type for process generators.
 ProcessGenerator = Generator["Event", Any, Any]
-
-# Calendar-queue tuning.  The defaults favour the exhibits' event mix
-# (microsecond-scale service events + second-scale think timers): a
-# 100 us bucket keeps one request's causal chain inside a bucket or two
-# while think timers overflow to the far heap until their bucket nears.
-_DEFAULT_WIDTH = 1e-4
-_MIN_BUCKETS = 256
-_MAX_BUCKETS = 1 << 16
-_ITEMS_PER_BUCKET = 4
-#: Resize trigger for the active list (covers both a consumed prefix
-#: that was never compacted and a same-bucket burst); doubled when a
-#: resize cannot split the entries (zero time span).
-_ACTIVE_LIMIT = 8192
 
 
 class SimulationError(RuntimeError):
@@ -153,12 +120,7 @@ class Event:
         self._value = value
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        # t == sim.now: every pending bucket/far entry is strictly later,
-        # so the entry belongs in the active list unconditionally.
-        active = sim._active
-        insort(active, (sim.now, seq, self))
-        if len(active) > sim._active_limit:
-            sim._pending_resize = True
+        heappush(sim._queue, (sim.now, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -174,10 +136,7 @@ class Event:
         self._exception = exception
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        active = sim._active
-        insort(active, (sim.now, seq, self))
-        if len(active) > sim._active_limit:
-            sim._pending_resize = True
+        heappush(sim._queue, (sim.now, seq, self))
         return self
 
     def _succeed_from(self, other: "Event") -> None:
@@ -235,21 +194,15 @@ class Timeout(Event):
         self.triggered = True
         self.processed = False
         sim._seq = seq = sim._seq + 1
-        t = sim.now + delay
-        vb = int(t * sim._inv_w)
-        if sim._vb < vb < sim._vbh:
-            sim._buckets[vb & sim._mask].append((t, seq, self))
-            sim._nbucket += 1
-        else:
-            sim._push_slow(t, vb, (t, seq, self))
+        heappush(sim._queue, (sim.now + delay, seq, self))
 
     def cancel(self) -> None:
         """Lazily cancel the timeout.
 
         The queue entry stays where it is; the dispatch loop recognises
         the cleared callback list, skips the entry without counting it,
-        and never advances the clock for it.  Resizes drop cancelled
-        entries wholesale.  A no-op if the timeout already fired.
+        and never advances the clock for it.  A no-op if the timeout
+        already fired.
         """
         self.callbacks = None
 
@@ -280,10 +233,7 @@ class Process(Event):
         # shared pre-made null event stands in for a bootstrap Event, so
         # starting a process allocates nothing beyond the queue tuple.
         sim._seq = seq = sim._seq + 1
-        active = sim._active
-        insort(active, (sim.now, seq, self._resume, sim._null_event))
-        if len(active) > sim._active_limit:
-            sim._pending_resize = True
+        heappush(sim._queue, (sim.now, seq, self._resume, sim._null_event))
 
     @property
     def is_alive(self) -> bool:
@@ -434,27 +384,19 @@ class AllOf(Event):
 
 
 class Simulator:
-    """The event loop: a calendar queue of triggered events.
+    """The event loop: one binary heap of triggered events.
 
     Usage::
 
         sim = Simulator()
         sim.process(some_generator_function(sim))
         sim.run(until=10.0)
-
-    *bucket_width* overrides the initial calendar bucket width in
-    seconds (the width self-tunes afterwards); it exists for tests that
-    force the far-heap or all-active paths.
     """
 
-    __slots__ = (
-        "_seq", "now", "_event_count", "tracer",
-        "_width", "_inv_w", "_nbuckets", "_mask", "_buckets",
-        "_vb", "_vbh", "_active", "_apos", "_far", "_nbucket", "_nfar",
-        "_pending_resize", "_active_limit", "_null_event",
-    )
+    __slots__ = ("_seq", "now", "_event_count", "tracer", "_queue",
+                 "_null_event")
 
-    def __init__(self, bucket_width: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         self._seq = 0
         #: Current simulation time in seconds.
         self.now = 0.0
@@ -463,23 +405,8 @@ class Simulator:
         #: Optional :class:`repro.trace.Tracer` (None = tracing off;
         #: every hook in the stack is one attribute test against this).
         self.tracer = None
-        width = _DEFAULT_WIDTH if bucket_width is None else float(bucket_width)
-        if width <= 0.0 or not math.isfinite(width):
-            raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-        self._width = width
-        self._inv_w = 1.0 / width
-        self._nbuckets = _MIN_BUCKETS
-        self._mask = _MIN_BUCKETS - 1
-        self._buckets: List[List[Any]] = [[] for _ in range(_MIN_BUCKETS)]
-        self._vb = 0
-        self._vbh = _MIN_BUCKETS
-        self._active: List[Any] = []
-        self._apos = 0
-        self._far: List[Any] = []
-        self._nbucket = 0
-        self._nfar = 0
-        self._pending_resize = False
-        self._active_limit = _ACTIVE_LIMIT
+        #: Pending entries, a heap ordered by ``(time, seq)``.
+        self._queue: List[Any] = []
         self._null_event = Event(self)
 
     # -- factory helpers ------------------------------------------------
@@ -522,13 +449,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative call_later delay: {delay}")
         self._seq = seq = self._seq + 1
-        t = self.now + delay
-        vb = int(t * self._inv_w)
-        if self._vb < vb < self._vbh:
-            self._buckets[vb & self._mask].append((t, seq, fn, arg))
-            self._nbucket += 1
-        else:
-            self._push_slow(t, vb, (t, seq, fn, arg))
+        heappush(self._queue, (self.now + delay, seq, fn, arg))
 
     def call_at(self, when: float, fn: Callable[[Any], None],
                 arg: Any = None) -> None:
@@ -543,12 +464,7 @@ class Simulator:
             raise ValueError(
                 f"call_at target {when} is before now={self.now}")
         self._seq = seq = self._seq + 1
-        vb = int(when * self._inv_w)
-        if self._vb < vb < self._vbh:
-            self._buckets[vb & self._mask].append((when, seq, fn, arg))
-            self._nbucket += 1
-        else:
-            self._push_slow(when, vb, (when, seq, fn, arg))
+        heappush(self._queue, (when, seq, fn, arg))
 
     def call_every(self, period: float, fn: Callable[[float], None]) -> None:
         """Invoke ``fn(now)`` every *period* simulated seconds, starting
@@ -574,186 +490,39 @@ class Simulator:
 
         self.call_at(self.now + period, tick, self.now + period)
 
-    def _schedule(self, delay: float, event: Event) -> None:
-        self._seq = seq = self._seq + 1
-        t = self.now + delay
-        vb = int(t * self._inv_w)
-        if self._vb < vb < self._vbh:
-            self._buckets[vb & self._mask].append((t, seq, event))
-            self._nbucket += 1
-        else:
-            self._push_slow(t, vb, (t, seq, event))
+    def _push_slow(self, entry: Any) -> None:
+        """Push *entry*; nothing in the kernel calls this.
 
-    def _push_slow(self, t: float, vb: int, entry: Any) -> None:
-        """Entry falls outside the bucket ring: far heap or active list."""
-        if vb > self._vb:
-            heappush(self._far, entry)
-            self._nfar += 1
-        else:
-            active = self._active
-            insort(active, entry)
-            if len(active) > self._active_limit:
-                self._pending_resize = True
+        Kept only because ``perfbench/run.py`` reads the attribute to
+        count ``heappush`` calls made from it as ``sim.kernel.far_pushes``
+        (the far-heap overflow of an earlier scheduler).  That count now
+        reads 0, and without the attribute ``--trace 1`` fails.
+        """
+        heappush(self._queue, entry)
 
     def _due_now(self) -> bool:
         """True if another queue entry is due at ``now``.
 
-        Only the active list after the cursor can hold one: bucket-ring
-        and far-heap entries lie in later virtual buckets, so strictly
-        after ``now``.  A cancelled :class:`Timeout` at ``now`` counts
+        The entry being dispatched is already popped, so the heap head
+        is the next one.  A cancelled :class:`Timeout` at ``now`` counts
         as due (the conservative answer).
 
         Valid only from a dispatched callback in *tail position* — one
-        whose caller returns straight to the dispatch loop — since the
-        cursor is only meaningful there.  Such a callback may then run a
-        follow-up step for ``now`` inline instead of queueing it: when
-        nothing is due, the loop would have dispatched that entry next.
+        whose caller returns straight to the dispatch loop.  Such a
+        callback may then run a follow-up step for ``now`` inline
+        instead of queueing it: when nothing is due, the loop would have
+        dispatched that entry next.
         """
-        active = self._active
-        apos = self._apos
-        return apos < len(active) and active[apos][0] <= self.now
-
-    # -- calendar maintenance -------------------------------------------
-
-    def _drain_far(self) -> None:
-        """Move far-heap entries that now fall inside the ring."""
-        far = self._far
-        inv_w = self._inv_w
-        vbh = self._vbh
-        buckets = self._buckets
-        mask = self._mask
-        moved = 0
-        while far:
-            vb = int(far[0][0] * inv_w)
-            if vb >= vbh:
-                break
-            buckets[vb & mask].append(heappop(far))
-            moved += 1
-        self._nfar -= moved
-        self._nbucket += moved
-
-    def _refill(self) -> bool:
-        """Consume the next non-empty bucket into ``_active``.
-
-        Precondition: the active list is exhausted (``_apos`` synced and
-        at the end).  Returns False when no entries remain anywhere.
-        """
-        total = self._nbucket + self._nfar
-        if total == 0:
-            return False
-        nbuckets = self._nbuckets
-        if total > (nbuckets << 1) or (
-                nbuckets > _MIN_BUCKETS and total < (nbuckets >> 3)):
-            self._resize()
-            if self._apos < len(self._active):
-                return True
-            if self._nbucket == 0 and not self._far:
-                # Everything pending turned out to be cancelled.
-                return False
-        if self._nbucket == 0:
-            # All buckets empty: hop the window straight to the far head
-            # instead of scanning revolution by revolution.
-            jump = int(self._far[0][0] * self._inv_w) - 1
-            if jump > self._vb:
-                self._vb = jump
-                self._vbh = jump + self._nbuckets
-            self._drain_far()
-        buckets = self._buckets
-        mask = self._mask
-        vb = self._vb
-        while True:
-            vb += 1
-            bucket = buckets[vb & mask]
-            if bucket:
-                break
-        buckets[vb & mask] = []
-        self._vb = vb
-        self._vbh = vb + self._nbuckets
-        self._nbucket -= len(bucket)
-        if len(bucket) > 1:
-            # Appends arrive in seq order, so runs are nearly sorted.
-            bucket.sort()
-        self._active = bucket
-        self._apos = 0
-        if self._far:
-            self._drain_far()
-        return True
-
-    def _resize(self) -> None:
-        """Re-derive bucket width from pending entries and re-place them.
-
-        Also acts as compaction: the consumed active prefix and any
-        cancelled entries are dropped.
-        """
-        items = self._active[self._apos:]
-        for bucket in self._buckets:
-            if bucket:
-                items.extend(bucket)
-        items.extend(self._far)
-        items = [it for it in items
-                 if len(it) != 3 or it[2].callbacks is not None]
-        n = len(items)
-        width = self._width
-        if n >= 2:
-            tmin = tmax = items[0][0]
-            for it in items:
-                t = it[0]
-                if t < tmin:
-                    tmin = t
-                elif t > tmax:
-                    tmax = t
-            span = tmax - tmin
-            if span > 0.0:
-                candidate = span * _ITEMS_PER_BUCKET / n
-                if candidate > 0.0 and math.isfinite(candidate):
-                    width = candidate
-        nbuckets = 1 << max(_MIN_BUCKETS.bit_length() - 1,
-                            (n // _ITEMS_PER_BUCKET).bit_length())
-        if nbuckets > _MAX_BUCKETS:
-            nbuckets = _MAX_BUCKETS
-        self._width = width
-        self._inv_w = inv_w = 1.0 / width
-        self._nbuckets = nbuckets
-        self._mask = mask = nbuckets - 1
-        self._vb = vb0 = int(self.now * inv_w)
-        self._vbh = vbh = vb0 + nbuckets
-        buckets: List[List[Any]] = [[] for _ in range(nbuckets)]
-        active: List[Any] = []
-        far: List[Any] = []
-        for it in items:
-            vb = int(it[0] * inv_w)
-            if vb <= vb0:
-                active.append(it)
-            elif vb < vbh:
-                buckets[vb & mask].append(it)
-            else:
-                far.append(it)
-        active.sort()
-        heapify(far)
-        self._buckets = buckets
-        self._active = active
-        self._apos = 0
-        self._far = far
-        self._nfar = len(far)
-        self._nbucket = n - len(active) - len(far)
-        self._pending_resize = False
-        # If the entries would not split (zero span), raise the trigger
-        # so the resize is not immediately re-requested.
-        self._active_limit = max(_ACTIVE_LIMIT, 2 * len(active))
+        queue = self._queue
+        return bool(queue) and queue[0][0] <= self.now
 
     # -- execution --------------------------------------------------------
 
     def step(self) -> bool:
         """Process the single next event; return False if none remain."""
-        while True:
-            active = self._active
-            apos = self._apos
-            if apos >= len(active):
-                if not self._refill():
-                    return False
-                continue
-            item = active[apos]
-            self._apos = apos + 1
+        queue = self._queue
+        while queue:
+            item = heappop(queue)
             if len(item) == 3:
                 event = item[2]
                 callbacks = event.callbacks
@@ -770,25 +539,20 @@ class Simulator:
             self._event_count += 1
             item[2](item[3])
             return True
+        return False
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None when idle.
 
         Cancelled entries at the head are purged as a side effect.
         """
-        while True:
-            active = self._active
-            n = len(active)
-            apos = self._apos
-            while apos < n:
-                item = active[apos]
-                if len(item) != 3 or item[2].callbacks is not None:
-                    self._apos = apos
-                    return item[0]
-                apos += 1
-            self._apos = apos
-            if not self._refill():
-                return None
+        queue = self._queue
+        while queue:
+            item = queue[0]
+            if len(item) != 3 or item[2].callbacks is not None:
+                return item[0]
+            heappop(queue)
+        return None
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches *until*.
@@ -803,35 +567,18 @@ class Simulator:
             raise ValueError(f"until={until} is in the past (now={self.now})")
         else:
             bound = until
-        # One loop for both modes (bound = +inf drains the queue), with
-        # the active list and cursor held in locals.  Callbacks may
-        # insort into the active list but never rebind it (restructures
-        # go through the _pending_resize flag, checked each iteration),
-        # so the local alias stays valid.  The cursor is mirrored into
-        # _apos before every dispatch, as step() does, so callbacks can
-        # ask _due_now() and a raising callback can't lose it;
-        # _event_count is settled in `finally` for the same reason.
-        active = self._active
-        apos = self._apos
+        # One loop for both modes (bound = +inf drains the queue).  Each
+        # entry is popped before its callback runs, so callbacks can ask
+        # _due_now(); _event_count is settled in `finally` so a raising
+        # callback can't lose the count.
+        queue = self._queue
         count = 0
         try:
-            while True:
-                if self._pending_resize:
-                    self._resize()
-                    active = self._active
-                    apos = 0
-                if apos >= len(active):
-                    if not self._refill():
-                        break
-                    active = self._active
-                    apos = 0
-                    continue
-                item = active[apos]
-                when = item[0]
+            while queue:
+                when = queue[0][0]
                 if when > bound:
                     break
-                apos += 1
-                self._apos = apos
+                item = heappop(queue)
                 if len(item) == 3:
                     event = item[2]
                     # Inlined Event._run_callbacks (one method call per

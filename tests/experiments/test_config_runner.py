@@ -1,5 +1,6 @@
 """Tests for experiment configs and the runner."""
 
+import gc
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.experiments.config import (DATASTORE_KINDS, SERVER_KINDS,
                                       ExperimentConfig)
 from repro.experiments.runner import PERCENTILES, build_params, run_experiment
+from repro.sim.kernel import Simulator
 
 
 class TestExperimentConfig:
@@ -60,6 +62,20 @@ class TestRunExperiment:
         assert not math.isnan(result.percentiles[99.0])
         assert result.completed == pytest.approx(
             result.throughput * result.window)
+
+    def test_finished_simulation_is_freed(self):
+        """run_experiment collects the simulation's reference cycle
+        before returning, instead of leaving it to the cyclic GC."""
+        def simulators():
+            return sum(isinstance(o, Simulator) for o in gc.get_objects())
+
+        gc.collect()
+        before = simulators()
+        result = run_experiment(ExperimentConfig(
+            concurrency=5, fanout=3, warmup=0.05, duration=0.1,
+            trace=True, obs=True))
+        assert result.throughput > 0
+        assert simulators() == before
 
     def test_deterministic_across_runs(self):
         config = ExperimentConfig(concurrency=8, warmup=0.1, duration=0.3,

@@ -1,19 +1,11 @@
-"""Randomized equivalence tests for the calendar-queue scheduler.
+"""Randomized equivalence tests for the kernel's event queue.
 
-The kernel's calendar queue (active list + bucket ring + far-heap
-fallback + lazy cancellation) must dispatch in exactly the same
-``(time, seq)`` total order as a plain binary heap.  These tests drive
-~10k mixed schedule/cancel operations through the real
-:class:`Simulator` and through a minimal reference heap model, and
-assert identical dispatch order, dispatch times, and event counts.
-
-The ``bucket_width`` parametrization forces every placement path:
-
-- a tiny width sends nearly everything through the far-heap fallback
-  (every delay is beyond one ring revolution),
-- the default width exercises the bucket ring plus far overflow,
-- a huge width keeps everything in the insort-active path (every delay
-  maps to virtual bucket 0).
+The kernel's queue (one heap of ``(time, seq, ...)`` entries with lazy
+cancellation, drained by ``run()`` and ``run(until)``) must dispatch in
+exactly the ``(time, seq)`` total order of a minimal reference heap
+model.  These tests drive thousands of mixed schedule/cancel operations
+through the real :class:`Simulator` and through the model, and assert
+identical dispatch order, dispatch times, and event counts.
 """
 
 import heapq
@@ -23,14 +15,10 @@ import pytest
 
 from repro.sim.kernel import CountdownLatch, SimulationError, Simulator
 
-#: Widths covering the far-heap fallback, the bucket ring, and the
-#: all-active paths (see module docstring).
-WIDTHS = (1e-9, 1e-4, 1e6)
-
 
 class ReferenceHeap:
-    """The pre-calendar scheduler: one binary heap of (t, seq) entries,
-    with the same lazy-cancellation contract (cancelled entries are
+    """A minimal scheduler model: one binary heap of (t, seq) entries,
+    with the kernel's lazy-cancellation contract (cancelled entries are
     skipped without counting)."""
 
     def __init__(self):
@@ -59,11 +47,11 @@ class ReferenceHeap:
             trace.append((t, token))
 
 
-def _run_mixed_schedule(width, seed, ops):
+def _run_mixed_schedule(seed, ops):
     """Drive an identical randomized op sequence through both kernels
     and return (sim_trace, ref_trace, sim, ref)."""
     rng = random.Random(seed)
-    sim = Simulator(bucket_width=width)
+    sim = Simulator()
     ref = ReferenceHeap()
     sim_trace, ref_trace = [], []
 
@@ -71,9 +59,9 @@ def _run_mixed_schedule(width, seed, ops):
         sim_trace.append((sim.now, event._value))
 
     timeouts = []  # (sim timeout, ref entry) still cancellable
-    # Mixed delay bands: same-instant bursts, sub-bucket, multi-bucket,
-    # and far-future entries, so every container sees traffic under
-    # every width.
+    # Mixed delay bands: same-instant bursts, microsecond to
+    # millisecond service-scale delays, and second-scale far-future
+    # entries, so ties and wide time spans interleave.
     bands = ((0.0, 0.0), (0.0, 5e-5), (0.0, 1e-2), (0.5, 2.0), (50.0, 90.0))
     for token in range(ops):
         action = rng.random()
@@ -94,22 +82,20 @@ def _run_mixed_schedule(width, seed, ops):
     return sim_trace, ref_trace, sim, ref
 
 
-@pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("seed", [1, 7, 2026])
-def test_mixed_schedule_cancel_matches_reference_heap(width, seed):
-    sim_trace, ref_trace, sim, ref = _run_mixed_schedule(width, seed, 3500)
+def test_mixed_schedule_cancel_matches_reference_heap(seed):
+    sim_trace, ref_trace, sim, ref = _run_mixed_schedule(seed, 3500)
     assert sim_trace == ref_trace
     assert sim._event_count == ref.count
     assert sim.now == ref.now
 
 
-@pytest.mark.parametrize("width", WIDTHS)
-def test_interleaved_run_and_schedule_matches_reference(width):
+def test_interleaved_run_and_schedule_matches_reference():
     """Schedule in phases with run(until=...) between them, so fresh
-    entries land behind the consumed horizon (the insort-active path)
-    as well as ahead of it."""
+    entries land at the current instant, just after it, and far past
+    the next bound, on top of entries left pending by earlier phases."""
     rng = random.Random(99)
-    sim = Simulator(bucket_width=width)
+    sim = Simulator()
     ref = ReferenceHeap()
     sim_trace, ref_trace = [], []
 
@@ -140,11 +126,10 @@ def test_interleaved_run_and_schedule_matches_reference(width):
     assert sim._event_count == ref.count
 
 
-@pytest.mark.parametrize("width", WIDTHS)
-def test_resize_preserves_order_under_load(width):
-    """Push enough entries to force grow and shrink resizes; order and
-    counts must survive every re-placement."""
-    sim = Simulator(bucket_width=width)
+def test_equal_time_entries_dispatch_in_seq_order():
+    """Thousands of entries in groups of ten equal times: each group
+    dispatches in scheduling order, and the groups in time order."""
+    sim = Simulator()
     fired = []
     total = 6000
     for i in range(total):

@@ -477,21 +477,23 @@ class TestDueNow:
         sim = Simulator()
         seen = []
         sim.call_later(0.0, lambda _: seen.append(
-            (sim._due_now(), sim._nbucket, sim._nfar)))
-        sim.timeout(1e-5)    # same bucket as now, but later
-        sim.timeout(1e-3)    # a later bucket of the ring
-        sim.timeout(1e3)     # beyond the ring: the far heap
+            (sim._due_now(), len(sim._queue))))
+        sim.timeout(1e-9)    # just after now
+        sim.timeout(1e-3)
+        sim.timeout(1e3)
         _drive(sim, mode)
-        assert seen == [(False, 1, 1)]
+        assert seen == [(False, 3)]
 
     def test_idle_when_active_list_exhausted(self, mode):
+        """The dispatched entry was the last one at its instant; only a
+        far later entry is left on the queue."""
         sim = Simulator()
         seen = []
         sim.timeout(0.5).add_callback(lambda _: seen.append(
-            (sim._apos == len(sim._active), sim._due_now())))
+            (len(sim._queue), sim._due_now())))
         sim.timeout(2e3)
         _drive(sim, mode)
-        assert seen == [(True, False)]
+        assert seen == [(1, False)]
 
     def test_busy_when_another_entry_is_at_now(self, mode):
         sim = Simulator()
@@ -520,34 +522,12 @@ class TestDueNow:
         assert seen == [True]
         assert sim._event_count == 1
 
-    def test_pending_resize_leaves_answer_correct(self, mode):
-        sim = Simulator()
-        sim._active_limit = 4   # a small burst raises the resize flag
-        seen = []
-
-        def ask(tag):
-            seen.append((tag, sim._due_now()))
-
-        def burst(_):
-            for _ in range(5):
-                sim.call_at(1e-5, ask, "later")  # same bucket, later
-            seen.append(("flagged", sim._pending_resize))
-            ask("burst")
-            sim.call_later(0.0, ask, "now")
-            ask("burst+1")
-
-        sim.call_later(0.0, burst)
-        _drive(sim, mode)
-        assert seen == ([("flagged", True), ("burst", False),
-                         ("burst+1", True), ("now", False)]
-                        + [("later", True)] * 4 + [("later", False)])
-
 
 def test_run_and_step_loop_agree_with_inline_cpu_steps():
     """CPU completions run their step inline when nothing else is due,
-    which relies on the cursor being current during dispatch: run() and
-    a manual step() loop must still give the same firing trace and the
-    same _event_count."""
+    which relies on the dispatched entry being off the queue while its
+    callback runs: run() and a manual step() loop must still give the
+    same firing trace and the same _event_count."""
     from repro.sim.cpu import Cpu
     from repro.sim.metrics import Metrics
     from repro.sim.params import CostParams
