@@ -6,6 +6,11 @@ exactly the ``(time, seq)`` total order of a minimal reference heap
 model.  These tests drive thousands of mixed schedule/cancel operations
 through the real :class:`Simulator` and through the model, and assert
 identical dispatch order, dispatch times, and event counts.
+
+The ``scale`` parametrization multiplies every delay, so the same
+schedules run at nanosecond, sub-millisecond and mega-second time
+magnitudes: float rounding changes which entries tie, and the
+``seq`` tie-break must still give the reference order.
 """
 
 import heapq
@@ -14,6 +19,10 @@ import random
 import pytest
 
 from repro.sim.kernel import CountdownLatch, SimulationError, Simulator
+
+#: Delay multipliers: nanosecond, sub-millisecond and mega-second
+#: time magnitudes (see module docstring).
+SCALES = (1e-9, 1e-4, 1e6)
 
 
 class ReferenceHeap:
@@ -47,7 +56,7 @@ class ReferenceHeap:
             trace.append((t, token))
 
 
-def _run_mixed_schedule(seed, ops):
+def _run_mixed_schedule(scale, seed, ops):
     """Drive an identical randomized op sequence through both kernels
     and return (sim_trace, ref_trace, sim, ref)."""
     rng = random.Random(seed)
@@ -71,7 +80,7 @@ def _run_mixed_schedule(seed, ops):
             ref.cancel(entry)
             continue
         low, high = bands[rng.randrange(len(bands))]
-        delay = rng.uniform(low, high)
+        delay = rng.uniform(low, high) * scale
         timeout = sim.timeout(delay, value=token)
         timeout.add_callback(observe)
         entry = ref.schedule(delay, token)
@@ -82,15 +91,17 @@ def _run_mixed_schedule(seed, ops):
     return sim_trace, ref_trace, sim, ref
 
 
+@pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("seed", [1, 7, 2026])
-def test_mixed_schedule_cancel_matches_reference_heap(seed):
-    sim_trace, ref_trace, sim, ref = _run_mixed_schedule(seed, 3500)
+def test_mixed_schedule_cancel_matches_reference_heap(scale, seed):
+    sim_trace, ref_trace, sim, ref = _run_mixed_schedule(scale, seed, 3500)
     assert sim_trace == ref_trace
     assert sim._event_count == ref.count
     assert sim.now == ref.now
 
 
-def test_interleaved_run_and_schedule_matches_reference():
+@pytest.mark.parametrize("scale", SCALES)
+def test_interleaved_run_and_schedule_matches_reference(scale):
     """Schedule in phases with run(until=...) between them, so fresh
     entries land at the current instant, just after it, and far past
     the next bound, on top of entries left pending by earlier phases."""
@@ -106,11 +117,11 @@ def test_interleaved_run_and_schedule_matches_reference():
     for phase in range(8):
         for _ in range(300):
             delay = rng.choice((0.0, rng.uniform(0, 1e-3),
-                                rng.uniform(0, 3.0)))
+                                rng.uniform(0, 3.0))) * scale
             sim.timeout(delay, value=token).add_callback(observe)
             ref.schedule(delay, token)
             token += 1
-        bound = sim.now + rng.uniform(0.1, 1.0)
+        bound = sim.now + rng.uniform(0.1, 1.0) * scale
         sim.run(until=bound)
         while ref.heap and ref.heap[0][0] <= bound:
             t, _seq, tok, live = heapq.heappop(ref.heap)
@@ -126,21 +137,23 @@ def test_interleaved_run_and_schedule_matches_reference():
     assert sim._event_count == ref.count
 
 
-def test_equal_time_entries_dispatch_in_seq_order():
-    """Thousands of entries in groups of ten equal times: each group
-    dispatches in scheduling order, and the groups in time order."""
+@pytest.mark.parametrize("scale", SCALES)
+def test_resize_preserves_order_under_load(scale):
+    """Thousands of entries in groups of ten equal times, so the heap
+    grows to full load and drains back to empty: each group dispatches
+    in scheduling order, and the groups in time order."""
     sim = Simulator()
     fired = []
     total = 6000
     for i in range(total):
-        # Spread over ~0.6 s, with ties every 10th entry.
-        delay = (i // 10) * 1e-3
+        # Spread over ~0.6 s times the scale, with ties every 10th entry.
+        delay = (i // 10) * 1e-3 * scale
         sim.timeout(delay, value=i).add_callback(
             lambda e: fired.append((sim.now, e._value)))
     sim.run()
     assert fired == sorted(fired)
     assert [v for _t, v in fired] == sorted(
-        range(total), key=lambda i: ((i // 10) * 1e-3, i))
+        range(total), key=lambda i: ((i // 10) * 1e-3 * scale, i))
     assert sim._event_count == total
 
 
