@@ -18,11 +18,14 @@ models a node's cores explicitly, with Linux-like semantics:
   threads" and Figure 9's timeline.
 
 Hot-path notes (see DESIGN.md "Scheduler hot path"): metric names are
-interned once into handle objects, fire-and-forget work can skip the
-completion :class:`Event` via :meth:`Cpu.execute_then`, an ``execute``
-completion is one kernel step (run inline when nothing else is due), and
-a core whose run queue is empty *coalesces* its whole stint into one
-completion event instead of per-quantum slices.  Coalescing is an
+interned once into handle objects; a work request is one :class:`_Job`,
+which is also its own completion event (``execute`` returns it, and
+``execute_then`` jobs call ``fn(arg)`` instead and are never dispatched);
+an ``execute`` completion is one kernel step (run inline when nothing
+else is due); the per-job bookkeeping (load integral, slice length, the
+slice's queue entry) is written out inline rather than through helper
+calls; and a core whose run queue is empty *coalesces* its whole stint
+into one completion event instead of per-quantum slices.  Coalescing is an
 event-count optimisation only — every timestamp, charge, and counter it
 produces is bit-identical to the sliced schedule (the deferred per-slice
 charges are committed lazily, in global charge order, by
@@ -32,6 +35,7 @@ charges are committed lazily, in global charge order, by
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from .kernel import Event, Simulator
@@ -45,21 +49,32 @@ __all__ = ["Cpu"]
 _EPSILON = 1.0e-12
 
 
-class _Job:
-    __slots__ = ("remaining", "done", "category", "total",
-                 "preempted_at_busy", "charger", "fn", "arg")
+class _Job(Event):
+    """One work request, and its own completion event.
 
-    def __init__(self, remaining: float, done: Optional[Event],
-                 category: str, charger: CpuCharger,
+    ``execute`` returns the job itself; it triggers when the work is
+    done.  ``execute_then`` jobs carry ``callbacks = None`` and call
+    ``fn(arg)`` instead: they are never dispatched as events.
+    """
+
+    __slots__ = ("remaining", "total", "preempted_at_busy", "charger",
+                 "fn", "arg")
+
+    def __init__(self, sim: Simulator, remaining: float, charger: CpuCharger,
+                 callbacks: Optional[list],
                  fn: Optional[Callable[[Any], None]] = None,
                  arg: Any = None) -> None:
+        # The Event slots, assigned directly (no Event.__init__ frame).
+        self.sim = sim
+        self.callbacks = callbacks
+        self._value = None
+        self._exception = None
+        self.triggered = False
+        self.processed = False
         self.remaining = remaining
-        #: Completion event (``execute``) or None (``execute_then``).
-        self.done = done
-        self.category = category
-        #: Interned charge handle for *category* (no per-slice lookup).
-        self.charger = charger
         self.total = remaining
+        #: Interned charge handle for the job's category.
+        self.charger = charger
         #: Machine-busy-time stamp of the preemption, or None while the
         #: job's cache state is intact.
         self.preempted_at_busy = None
@@ -69,7 +84,8 @@ class _Job:
 
 
 class _ThreadState:
-    """Scheduler-side state of one thread."""
+    """Scheduler-side state of one thread (runnable while ``jobs`` is
+    non-empty)."""
 
     __slots__ = ("thread", "jobs", "queued", "running_on", "last_core")
 
@@ -82,10 +98,6 @@ class _ThreadState:
         self.running_on: Optional["_Core"] = None
         #: Core this thread last ran on (scheduler affinity hint).
         self.last_core: Optional["_Core"] = None
-
-    @property
-    def runnable(self) -> bool:
-        return bool(self.jobs)
 
 
 class _Core:
@@ -133,7 +145,7 @@ class _CoStint:
         self.state = state
         self.job = job
         self.charger = job.charger
-        self.quantum = cpu.params.quantum
+        self.quantum = cpu._quantum
         now = cpu.sim.now
         #: Time the most recently committed boundary fired (scheduling
         #: time of the next slice — the sliced schedule's tie-breaker).
@@ -211,6 +223,9 @@ class Cpu:
         # context switch.
         self._ctx_counter = metrics.counter(f"cpu.{name}.ctx_switches")
         self._ctx_charger = metrics.cpu.charger("ctx_switch")
+        self._acct = metrics.cpu
+        self._chargers = metrics.cpu._chargers
+        self._quantum = params.quantum
 
     # -- load bookkeeping -------------------------------------------------
 
@@ -239,52 +254,58 @@ class Cpu:
     def execute(self, thread, amount: float, category: str = "app") -> Event:
         """Request *amount* seconds of CPU for *thread*.
 
-        Returns an event that triggers when the work has been executed.
+        Returns the job, an event that triggers when the work has been
+        executed.
         """
-        if amount < 0:
+        if not (amount >= 0):  # also rejects NaN
             raise ValueError("cannot execute negative work")
-        done = Event(self.sim)
         if amount == 0.0 and self._try_zero_fast_path(thread, category):
-            done.succeed()
-            return done
-        self._submit(thread, _Job(amount, done, category,
-                                  self.metrics.cpu.charger(category)))
-        return done
+            return Event(self.sim).succeed()
+        charger = self._chargers.get(category) or self._acct.charger(category)
+        job = _Job(self.sim, amount, charger, [])
+        self._submit(thread, job)
+        return job
 
     def execute_then(self, thread, amount: float, category: str = "app",
                      fn: Optional[Callable[[Any], None]] = None,
                      arg: Any = None) -> None:
-        """Request CPU for *thread*, then call ``fn(arg)`` — no Event.
+        """Request CPU for *thread*, then call ``fn(arg)`` — no event.
 
         The fire-and-forget counterpart of :meth:`execute`, in the style
         of ``Simulator.call_later``: charges and scheduling are
-        identical, but no completion :class:`Event` is allocated or
-        dispatched.  With ``fn=None`` this is a pure charge (the common
-        case for call sites that discarded :meth:`execute`'s event).
-        The callback cannot be cancelled or waited on.
+        identical, but the job is never triggered or dispatched as an
+        event.  With ``fn=None`` this is a pure charge (the common case
+        for call sites that discarded :meth:`execute`'s event).  The
+        callback cannot be cancelled or waited on.
         """
-        if amount < 0:
+        if not (amount >= 0):  # also rejects NaN
             raise ValueError("cannot execute negative work")
         if amount == 0.0 and self._try_zero_fast_path(thread, category):
             if fn is not None:
                 fn(arg)
             return
-        self._submit(thread, _Job(amount, None, category,
-                                  self.metrics.cpu.charger(category),
-                                  fn, arg))
+        charger = self._chargers.get(category) or self._acct.charger(category)
+        self._submit(thread, _Job(self.sim, amount, charger, None, fn, arg))
 
     def _submit(self, thread, job: _Job) -> None:
         state = self._states.get(thread.tid)
         if state is None:
             state = _ThreadState(thread)
             self._states[thread.tid] = state
-        was_runnable = state.runnable
-        state.jobs.append(job)
-        if not was_runnable:
-            self._load_delta(+1)
-            # Thread just became runnable.  If it is mid-decision on a
-            # core (same-instant continuation) the core picks it up in
-            # _decide; otherwise enqueue or dispatch now.
+        jobs = state.jobs
+        was_idle = not jobs
+        jobs.append(job)
+        if was_idle:
+            # Thread just became runnable: load integral as in
+            # _load_delta(+1), same float expression.  If it is
+            # mid-decision on a core (same-instant continuation) the
+            # core picks it up in _finish; otherwise enqueue or
+            # dispatch now.
+            now = self.sim.now
+            self._load_integral += self._load_current * (
+                now - self._load_last_t)
+            self._load_last_t = now
+            self._load_current += 1
             if state.running_on is None and not state.queued:
                 if self._idle:
                     # Wake-up affinity: prefer the core this thread last
@@ -384,21 +405,30 @@ class Cpu:
     def _run_slice(self, core: _Core, state: _ThreadState,
                    extra_delay: float = 0.0) -> None:
         job = state.jobs[0]
-        quantum_left = self.params.quantum - core.stint_used
-        slice_len = min(job.remaining, max(quantum_left, 0.0))
-        if slice_len <= 0.0:
-            slice_len = min(job.remaining, self.params.quantum)
-            core.stint_used = 0.0  # fresh stint after forced preemption
+        remaining = job.remaining
+        quantum = self._quantum
+        quantum_left = quantum - core.stint_used
+        # min(remaining, max(quantum_left, 0.0)), with a fresh stint
+        # after a forced preemption (or for a zero-length job) when
+        # that is not positive.
+        if quantum_left > 0.0 and remaining > 0.0:
+            slice_len = quantum_left if quantum_left < remaining else remaining
+        else:
+            slice_len = quantum if quantum < remaining else remaining
+            core.stint_used = 0.0
         if (self._coalesce and not self._run_queue
-                and job.remaining - slice_len > _EPSILON):
+                and remaining - slice_len > _EPSILON):
             # Uncontended multi-slice stint: one completion event for
             # the whole job instead of one per quantum.  De-coalesced
             # from _submit if the run queue becomes non-empty.
             self._coalesce_stint(core, state, job, slice_len, extra_delay)
             return
-        # Bare-callback entry: no Timeout/closure allocated per slice.
-        self.sim.call_later(extra_delay + slice_len, self._slice_done,
-                            (core, state, job, slice_len))
+        # Bare-callback entry, pushed as call_later(extra_delay +
+        # slice_len, ...) would: same time expression, same seq.
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim.now + (extra_delay + slice_len), seq,
+                              self._slice_done, (core, state, job, slice_len)))
 
     def _slice_done(self, args) -> None:
         core, state, job, slice_len = args
@@ -418,39 +448,57 @@ class Cpu:
     def _complete(self, core: _Core, state: _ThreadState, job: _Job) -> None:
         # Job complete: let the owning process react (it may immediately
         # issue the next work request), then decide what this core does.
-        state.jobs.popleft()
-        if not state.jobs:
-            self._load_delta(-1)
-        done = job.done
-        if done is None:
+        sim = self.sim
+        jobs = state.jobs
+        jobs.popleft()
+        if not jobs:
+            # As _load_delta(-1), same float expression.
+            now = sim.now
+            self._load_integral += self._load_current * (
+                now - self._load_last_t)
+            self._load_last_t = now
+            self._load_current -= 1
+        if job.callbacks is None:
+            # execute_then: the callback now, the core's decision as a
+            # zero-delay step.
             if job.fn is not None:
                 job.fn(job.arg)
-            self.sim.call_later(0.0, self._decide, (core, state))
-            return
-        # One kernel step (_finish) replaces done.succeed() plus
-        # call_later(0.0, _decide): those two entries shared a time and
-        # had adjacent seqs, so they always dispatched back to back.
-        # Both callers (_slice_done, _co_done) are dispatched callbacks
-        # that return right after this, so when nothing else is due now
-        # the step runs inline; the loop would have dispatched it next.
-        done.triggered = True
-        sim = self.sim
-        if sim._due_now():
-            sim.call_later(0.0, self._finish, (core, state, done))
         else:
-            sim._event_count += 1
-            self._finish((core, state, done))
+            # One kernel step (_finish) replaces job.succeed() plus a
+            # zero-delay decision entry: those two shared a time and had
+            # adjacent seqs, so they always dispatched back to back.
+            # Both callers (_slice_done, _co_done) are dispatched
+            # callbacks that return right after this, so when nothing
+            # else is due now the step runs inline; the loop would have
+            # dispatched it next.
+            job.triggered = True
+            if not sim._due_now():
+                sim._event_count += 1
+                self._finish((core, state, job))
+                return
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim.now, seq, self._finish, (core, state, job)))
 
     def _finish(self, args) -> None:
-        """Completion step of an ``execute`` job: process the done event
-        (resume its waiters), then :meth:`_decide` the core's next move."""
-        done = args[2]
-        callbacks = done.callbacks
-        done.callbacks = None
-        done.processed = True
-        for callback in callbacks:
-            callback(done)
-        self._decide(args)
+        """Completion step of a job: process its event (an ``execute``
+        job's waiters resume), then decide what the core does next."""
+        core, state, job = args
+        callbacks = job.callbacks
+        if callbacks is not None:
+            job.callbacks = None
+            job.processed = True
+            for callback in callbacks:
+                callback(job)
+        if state.jobs:
+            # The thread continued (issued more work in the same instant).
+            if core.stint_used < self._quantum or not self._run_queue:
+                self._run_slice(core, state)
+            else:
+                self._preempt(core, state)
+        else:
+            # The thread blocked or finished: release the core.
+            state.running_on = None
+            self._next_thread(core)
 
     # -- stint coalescing --------------------------------------------------
 
@@ -520,21 +568,6 @@ class Cpu:
         self._run_queue.append(state)
         self._next_thread(core)
 
-    def _decide(self, args) -> None:
-        # args is (core, state), or _finish's (core, state, done).
-        core = args[0]
-        state = args[1]
-        if state.runnable:
-            # The thread continued (issued more work in the same instant).
-            if core.stint_used < self.params.quantum or not self._run_queue:
-                self._run_slice(core, state)
-            else:
-                self._preempt(core, state)
-            return
-        # The thread blocked or finished: release the core.
-        state.running_on = None
-        self._next_thread(core)
-
     def _next_thread(self, core: _Core) -> None:
         # Prefer, among the first few queued threads, one that last ran
         # on this core (bounded scan keeps dispatch O(1)).  Threads that
@@ -543,7 +576,7 @@ class Cpu:
         queue = self._run_queue
         for offset in range(min(len(queue), 4)):
             state = queue[offset]
-            if not state.runnable:
+            if not state.jobs:
                 continue
             if state.last_core is core:
                 del queue[offset]
@@ -555,7 +588,7 @@ class Cpu:
         while queue:
             state = queue.popleft()
             state.queued = False
-            if state.runnable:
+            if state.jobs:
                 self._start_stint(core, state)
                 return
         core.current = None

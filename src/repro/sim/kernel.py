@@ -185,7 +185,7 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not (delay >= 0):  # also rejects NaN
             raise ValueError(f"negative timeout delay: {delay}")
         self.sim = sim
         self.callbacks = []
@@ -446,7 +446,7 @@ class Simulator:
         of a Timeout + callback list + closure.  The callback cannot be
         cancelled or waited on; use :meth:`timeout` for that.
         """
-        if delay < 0:
+        if not (delay >= 0):  # also rejects NaN
             raise ValueError(f"negative call_later delay: {delay}")
         self._seq = seq = self._seq + 1
         heappush(self._queue, (self.now + delay, seq, fn, arg))
@@ -460,7 +460,7 @@ class Simulator:
         stints) hit the exact float they computed instead of re-deriving
         it through ``now + (when - now)``.
         """
-        if when < self.now:
+        if not (when >= self.now):  # also rejects NaN
             raise ValueError(
                 f"call_at target {when} is before now={self.now}")
         self._seq = seq = self._seq + 1
@@ -563,7 +563,7 @@ class Simulator:
         """
         if until is None:
             bound = math.inf
-        elif until < self.now:
+        elif not (until >= self.now):  # also rejects NaN
             raise ValueError(f"until={until} is in the past (now={self.now})")
         else:
             bound = until

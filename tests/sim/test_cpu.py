@@ -1,9 +1,11 @@
 """Unit tests for the CPU scheduler model."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import math
 
-from repro.sim.cpu import Cpu
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.sim.cpu import Cpu, _Job, _ThreadState
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.params import CostParams
@@ -48,6 +50,29 @@ class TestBasicExecution:
         t = SimThread(cpu)
         with pytest.raises(ValueError):
             cpu.execute(t, -1.0)
+
+    def test_nan_work_rejected(self):
+        sim, m, cpu = make_cpu()
+        t = SimThread(cpu)
+        with pytest.raises(ValueError, match="negative work"):
+            cpu.execute(t, math.nan)
+        with pytest.raises(ValueError, match="negative work"):
+            cpu.execute_then(t, math.nan, "app")
+        sim.run()
+        assert sim.now == 0.0
+        assert m.cpu.busy_by_category["app"] == 0.0
+
+    def test_execute_returns_the_job_as_its_completion_event(self):
+        sim, _m, cpu = make_cpu()
+        t = SimThread(cpu)
+        job = cpu.execute(t, 0.0025)
+        assert isinstance(job, _Job)
+        assert not job.triggered
+        fired = []
+        job.add_callback(lambda event: fired.append((event, sim.now)))
+        sim.run()
+        assert job.triggered and job.processed and job.ok
+        assert fired == [(job, 0.0025)]
 
     def test_needs_at_least_one_core(self):
         sim = Simulator()
@@ -230,3 +255,52 @@ def test_cpu_conserves_work(amounts, cores):
     busy = metrics.cpu.busy_by_category
     useful = busy.get("app", 0.0)
     assert useful == pytest.approx(sum(amounts), rel=1e-9)
+
+
+def _reference_slice(remaining, quantum, stint_used):
+    """The slice-length rule in its ``min``/``max`` form: the reference
+    that ``Cpu._run_slice``'s explicit branches must match."""
+    slice_len = min(remaining, max(quantum - stint_used, 0.0))
+    if slice_len <= 0.0:
+        return min(remaining, quantum), 0.0
+    return slice_len, stint_used
+
+
+def _signed(x):
+    return x, math.copysign(1.0, x)
+
+
+@settings(deadline=None, max_examples=300)
+@given(remaining=st.one_of(st.floats(min_value=0.0, max_value=4e-3),
+                           st.sampled_from([0.0, -0.0, 5e-324, 1e-3])),
+       quantum=st.one_of(st.floats(min_value=0.0, max_value=2e-3),
+                         st.sampled_from([-0.0, 5e-324, 1e-3])),
+       stint_used=st.one_of(st.floats(min_value=0.0, max_value=3e-3),
+                            st.sampled_from([0.0, 5e-324, 1e-3])))
+@example(remaining=0.0, quantum=1e-3, stint_used=0.0)   # zero-length job
+@example(remaining=0.0, quantum=1e-3, stint_used=4e-4)  # ... mid-stint
+@example(remaining=5e-4, quantum=1e-3, stint_used=1e-3)  # left == 0.0
+@example(remaining=5e-4, quantum=-0.0, stint_used=0.0)   # left == -0.0
+@example(remaining=5e-4, quantum=1e-3, stint_used=2e-3)  # left < 0
+@example(remaining=1e-3 - 3e-4, quantum=1e-3, stint_used=3e-4)  # == rem
+@example(remaining=1e-3, quantum=5e-324, stint_used=0.0)  # subnormal left
+@example(remaining=5e-324, quantum=1e-3, stint_used=0.0)  # subnormal job
+def test_slice_length_matches_min_max_rule(remaining, quantum, stint_used):
+    """``_run_slice``'s branches give the floats (signed zeros included)
+    and the ``stint_used`` reset of the min/max formula."""
+    sim = Simulator()
+    metrics = Metrics()
+    cpu = Cpu(sim, metrics, CostParams().with_overrides(quantum=quantum),
+              cores=1, coalesce=False)
+    state = _ThreadState(SimThread(cpu))
+    job = _Job(sim, remaining, metrics.cpu.charger("app"), [])
+    state.jobs.append(job)
+    core = cpu.cores[0]
+    core.stint_used = stint_used
+    cpu._run_slice(core, state)
+    expected_len, expected_used = _reference_slice(remaining, quantum,
+                                                   stint_used)
+    (when, _seq, _fn, (_core, _state, _job, slice_len)), = sim._queue
+    assert _signed(slice_len) == _signed(expected_len)
+    assert _signed(when) == _signed(0.0 + (0.0 + expected_len))
+    assert _signed(core.stint_used) == _signed(expected_used)

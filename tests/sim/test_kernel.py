@@ -258,6 +258,22 @@ class TestSimulatorRun:
         with pytest.raises(ValueError):
             sim.run(until=0.5)
 
+    def test_nan_times_rejected(self, sim):
+        """A NaN time fails every comparison, so a guard spelled
+        ``x < bound`` would let it into the heap, where it breaks the
+        ``(time, seq)`` order."""
+        nan = float("nan")
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match="negative call_later delay"):
+            sim.call_later(nan, print)
+        with pytest.raises(ValueError, match="negative timeout delay"):
+            sim.timeout(nan)
+        with pytest.raises(ValueError, match="is before now"):
+            sim.call_at(nan, print)
+        with pytest.raises(ValueError, match="is in the past"):
+            sim.run(until=nan)
+        assert sim._queue == [] and sim.now == 1.0
+
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
 
