@@ -17,16 +17,11 @@ Measures the hot paths the exhibit harness spends its time in:
   cache target).
 - ``sched_*_events_per_sec`` — the CPU scheduler hot path: threads
   chaining multi-quantum jobs through :class:`repro.sim.cpu.Cpu`.
-  ``sched_uncontended`` runs one thread per core with stint coalescing
-  on (one completion event per job), ``sched_sliced`` is the same
-  workload with coalescing disabled (one event per quantum — the
-  pre-coalescing schedule), and ``sched_contended`` oversubscribes the
-  cores 3:1 so the run queue stays hot (coalescing rarely applies;
-  guards the preemption path).  All three rates are normalised to the
-  *sliced* schedule's event count so they compare at equal logical
-  work; ``sched_coalesce_speedup`` is measured separately as the
-  median of paired coalesced/sliced runs (robust on noisy runners)
-  and pinned to a floor by ``--check``.
+  ``sched_uncontended`` runs one thread per core, and
+  ``sched_contended`` oversubscribes the cores 3:1 so the run queue
+  stays hot (guards the preemption path).  ``--check`` skips both: the
+  scheduler's regression pin is the end-to-end ``closed_large``
+  workload in ``perfbench/``.
 - ``trace_overhead_ratio`` — what 1%-sampled request tracing
   (``repro.trace``) costs on a real exhibit-shaped run: the median of
   paired untraced/traced wall-time ratios over identical simulations
@@ -69,11 +64,6 @@ BENCH_FILE = Path(__file__).resolve().parent / "BENCH_core.json"
 
 #: The percentile set every ExperimentResult reports.
 PERCENTILES = (50.0, 80.0, 90.0, 95.0, 99.0, 99.9)
-
-#: --check fails if the coalescing speedup on the uncontended scheduler
-#: workload drops below this (the PR's pinned floor; speedup ratios are
-#: machine-portable, so the floor holds on shared CI runners too).
-COALESCE_SPEEDUP_FLOOR = 1.3
 
 #: --check fails if 1%-sampled tracing costs more than 10% events/sec
 #: on the exhibit-shaped workload (ratio of untraced to traced rate
@@ -183,17 +173,20 @@ def bench_percentiles(samples: int = 200_000, repeats: int = 20) -> float:
     return time.perf_counter() - started
 
 
-def _scheduler_run(threads: int, jobs: int, work: float,
-                   contended: bool, coalesce: bool):
-    """One scheduler workload run; returns (simulator, elapsed)."""
+def bench_scheduler(threads: int = 2, jobs: int = 400, work: float = 8.0e-3,
+                    contended: bool = False) -> float:
+    """Events/sec for threads chaining multi-quantum CPU jobs.
+
+    *work* spans several scheduler quanta (default 8 at the 1 ms
+    quantum), so every job runs as a chain of per-quantum slices.
+    """
     from repro.sim.cpu import Cpu
     from repro.sim.metrics import Metrics
     from repro.sim.params import CostParams
     from repro.sim.threads import SimThread
 
     sim = Simulator()
-    cpu = Cpu(sim, Metrics(), CostParams(), cores=threads,
-              coalesce=coalesce)
+    cpu = Cpu(sim, Metrics(), CostParams(), cores=threads)
     n_threads = threads * 3 if contended else threads
 
     def worker(thread, n):
@@ -204,63 +197,16 @@ def _scheduler_run(threads: int, jobs: int, work: float,
         sim.process(worker(SimThread(cpu), jobs))
     started = time.perf_counter()
     sim.run()
-    return sim, time.perf_counter() - started
-
-
-#: Sliced-schedule event counts per workload shape (deterministic, so
-#: one reference run per shape is enough).
-_SLICED_EVENTS = {}
-
-
-def bench_scheduler(threads: int = 2, jobs: int = 400, work: float = 8.0e-3,
-                    contended: bool = False, coalesce: bool = True) -> float:
-    """Events/sec for threads chaining multi-quantum CPU jobs.
-
-    *work* spans several scheduler quanta (default 8 at the 1 ms
-    quantum), the shape stint coalescing targets.  The rate is
-    normalised to the **sliced** schedule's event count for this
-    workload shape, so coalesced and sliced runs compare at equal
-    logical work (coalescing's fewer physical events show up as a
-    higher rate, exactly like any other events/sec win).
-    """
-    key = (threads, jobs, work, contended)
-    reference_events = _SLICED_EVENTS.get(key)
-    if reference_events is None:
-        sim, _ = _scheduler_run(threads, jobs, work, contended,
-                                coalesce=False)
-        reference_events = sim._event_count
-        _SLICED_EVENTS[key] = reference_events
-    sim, elapsed = _scheduler_run(threads, jobs, work, contended, coalesce)
-    return reference_events / elapsed
-
-
-def bench_scheduler_speedup(rounds: int = 5, threads: int = 2,
-                            jobs: int = 150, work: float = 16.0e-3) -> float:
-    """Coalescing speedup on the uncontended workload, measured as the
-    **median of paired back-to-back ratios**.
-
-    Taking the ratio of two independently best-of-N rates is unstable on
-    noisy shared runners (each side can catch a different slowdown); a
-    paired run puts both schedules under near-identical machine
-    conditions and the median discards the odd bad round, so the ratio
-    stays within a few percent run to run.
-    """
-    ratios = []
-    for _ in range(rounds):
-        _, elapsed_coalesced = _scheduler_run(
-            threads, jobs, work, contended=False, coalesce=True)
-        _, elapsed_sliced = _scheduler_run(
-            threads, jobs, work, contended=False, coalesce=False)
-        ratios.append(elapsed_sliced / elapsed_coalesced)
-    ratios.sort()
-    return ratios[len(ratios) // 2]
+    elapsed = time.perf_counter() - started
+    return sim._event_count / elapsed
 
 
 def bench_trace_overhead(rounds: int = 3, duration: float = 0.5) -> float:
     """1%-sampled tracing cost on a real exhibit-shaped run.
 
-    Median of **paired** untraced/traced wall-time ratios (the pairing
-    logic of :func:`bench_scheduler_speedup`): both runs simulate the
+    Median of **paired** untraced/traced wall-time ratios (a paired
+    run puts both sides under near-identical machine conditions, and
+    the median discards the odd bad round): both runs simulate the
     identical event sequence — tracing is observation-only and the
     sampler draws from its own stream — so the wall ratio is exactly
     the events/sec ratio.  1.0 = free; 0.9 = tracing costs 10%.
@@ -349,8 +295,6 @@ def run_all(with_exhibit: bool = True, quick: bool = False,
                 best(bench_fanout, 1500, use_latch=False)),
             "sched_uncontended_events_per_sec": round(
                 best(bench_scheduler)),
-            "sched_sliced_events_per_sec": round(
-                best(bench_scheduler, coalesce=False)),
             "sched_contended_events_per_sec": round(
                 best(bench_scheduler, contended=True)),
             "percentile_query_sec": round(bench_percentiles(50_000, 5), 4),
@@ -363,15 +307,11 @@ def run_all(with_exhibit: bool = True, quick: bool = False,
             "fanout_allof_events_per_sec": round(
                 best(bench_fanout, use_latch=False)),
             "sched_uncontended_events_per_sec": round(best(bench_scheduler)),
-            "sched_sliced_events_per_sec": round(
-                best(bench_scheduler, coalesce=False)),
             "sched_contended_events_per_sec": round(
                 best(bench_scheduler, contended=True)),
             "percentile_query_sec": round(
                 min(bench_percentiles() for _ in range(3)), 4),
         }
-    metrics["sched_coalesce_speedup"] = round(
-        bench_scheduler_speedup(rounds=5 if quick else 7), 2)
     metrics["trace_overhead_ratio"] = round(
         bench_trace_overhead(rounds=3 if quick else 5,
                              duration=0.4 if quick else 0.8), 3)
@@ -412,7 +352,7 @@ def check_regression(metrics: dict, trajectory: dict,
             # Scheduler runs are short and CPU-scheduler-shaped, so
             # their absolute rates swing well past the band with
             # machine load; the regression pin for this path is the
-            # machine-portable paired ratio (COALESCE_SPEEDUP_FLOOR).
+            # end-to-end perfbench ``closed_large`` workload.
             continue
         base = baseline["metrics"].get(key)
         if not base:
@@ -477,14 +417,6 @@ def main(argv=None) -> int:
         print(f"{'latch vs AllOf (fanout)':28s} {latch / allof:.2f}x")
     if args.check:
         failures = check_regression(metrics, trajectory)
-        speedup = metrics.get("sched_coalesce_speedup")
-        if speedup is not None:
-            status = ("ok" if speedup >= COALESCE_SPEEDUP_FLOOR
-                      else "REGRESSED")
-            print(f"check {'sched_coalesce_speedup':28s} {speedup:5.2f}x "
-                  f"(floor {COALESCE_SPEEDUP_FLOOR}x) [{status}]")
-            if speedup < COALESCE_SPEEDUP_FLOOR:
-                failures += 1
         overhead = metrics.get("trace_overhead_ratio")
         if overhead is not None:
             status = ("ok" if overhead >= TRACE_OVERHEAD_FLOOR

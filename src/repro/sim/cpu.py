@@ -22,14 +22,10 @@ interned once into handle objects; a work request is one :class:`_Job`,
 which is also its own completion event (``execute`` returns it, and
 ``execute_then`` jobs call ``fn(arg)`` instead and are never dispatched);
 an ``execute`` completion is one kernel step (run inline when nothing
-else is due); the per-job bookkeeping (load integral, slice length, the
-slice's queue entry) is written out inline rather than through helper
-calls; and a core whose run queue is empty *coalesces* its whole stint
-into one completion event instead of per-quantum slices.  Coalescing is an
-event-count optimisation only — every timestamp, charge, and counter it
-produces is bit-identical to the sliced schedule (the deferred per-slice
-charges are committed lazily, in global charge order, by
-:meth:`CpuAccounting.co_sync` before any read).
+else is due); and the per-job bookkeeping (load integral, slice length,
+the slice's queue entry) is written out inline rather than through
+helper calls.  There is one schedule: every job runs as per-quantum
+``_slice_done`` slices, contended or not.
 """
 
 from __future__ import annotations
@@ -101,105 +97,21 @@ class _ThreadState:
 
 
 class _Core:
-    __slots__ = ("index", "last_thread", "current", "stint_used",
-                 "co", "co_gen")
+    __slots__ = ("index", "last_thread", "stint_used")
 
     def __init__(self, index: int) -> None:
         self.index = index
         #: Thread that last ran here (for context-switch accounting).
         self.last_thread = None
-        #: ThreadState currently scheduled on this core.
-        self.current: Optional[_ThreadState] = None
         #: CPU time this thread has used in its current stint.
         self.stint_used = 0.0
-        #: Active coalesced-stint cursor, if any.
-        self.co: Optional["_CoStint"] = None
-        #: Generation counter invalidating stale coalesced completions.
-        self.co_gen = 0
-
-
-class _CoStint:
-    """Cursor replaying a coalesced stint's sliced schedule lazily.
-
-    Created when a core starts (or continues) a stint with an empty run
-    queue and more than one slice of work left.  Instead of one event
-    per quantum, the :class:`Cpu` schedules a single completion event at
-    :meth:`final_time` and registers this cursor with the shared
-    :class:`~repro.sim.metrics.CpuAccounting`.  The cursor knows the
-    exact times and lengths of every slice the sliced schedule would
-    have run; :meth:`commit_next` performs one slice's charge with the
-    same float arithmetic, so lazily committing boundaries up to ``now``
-    (``CpuAccounting.co_sync``) reproduces the eager per-slice charges
-    bit for bit.
-    """
-
-    __slots__ = ("sim", "cpu", "core", "state", "job", "charger",
-                 "quantum", "prev_t", "next_t", "s_next", "remaining",
-                 "stint_used", "reg", "exhausted")
-
-    def __init__(self, cpu: "Cpu", core: _Core, state: _ThreadState,
-                 job: _Job, first_slice: float, extra_delay: float) -> None:
-        self.sim = cpu.sim
-        self.cpu = cpu
-        self.core = core
-        self.state = state
-        self.job = job
-        self.charger = job.charger
-        self.quantum = cpu._quantum
-        now = cpu.sim.now
-        #: Time the most recently committed boundary fired (scheduling
-        #: time of the next slice — the sliced schedule's tie-breaker).
-        self.prev_t = now
-        # Matches call_later's ``now + (extra_delay + slice_len)``
-        # parenthesisation exactly.
-        self.next_t = now + (extra_delay + first_slice)
-        self.s_next = first_slice
-        self.remaining = job.remaining
-        self.stint_used = core.stint_used
-        self.reg = 0
-        self.exhausted = False
-
-    def final_time(self) -> float:
-        """Completion instant, via the sliced schedule's float chain."""
-        q = self.quantum
-        t = self.next_t
-        r = self.remaining - self.s_next
-        while r > _EPSILON:
-            s = r if r < q else q
-            t += s
-            r -= s
-        return t
-
-    def commit_next(self, acct) -> None:
-        """Commit one slice boundary: the deferred ``_slice_done`` charge."""
-        ch = self.charger
-        if not ch._linked:
-            ch._linked = True
-            acct._order.append(ch)
-        s = self.s_next
-        ch.value += s
-        acct._busy_ever += s
-        self.stint_used += s
-        self.remaining -= s
-        self.prev_t = self.next_t
-        if self.remaining > _EPSILON:
-            # Sliced path: stint_used resets, next slice = min(r, q).
-            self.stint_used = 0.0
-            q = self.quantum
-            r = self.remaining
-            s = r if r < q else q
-            self.s_next = s
-            self.next_t = self.prev_t + s
-        else:
-            self.exhausted = True
 
 
 class Cpu:
     """A multi-core processor with a shared FIFO run queue."""
 
     def __init__(self, sim: Simulator, metrics: Metrics, params: CostParams,
-                 cores: Optional[int] = None, name: str = "app",
-                 coalesce: bool = True) -> None:
+                 cores: Optional[int] = None, name: str = "app") -> None:
         self.sim = sim
         self.metrics = metrics
         self.params = params
@@ -215,10 +127,6 @@ class Cpu:
         self._load_integral = 0.0
         self._load_last_t = 0.0
         self._load_current = 0
-        #: Coalesce uncontended multi-quantum stints into one event.
-        self._coalesce = coalesce
-        #: Number of this Cpu's cores currently running a coalesced stint.
-        self._co_active = 0
         # Interned hot-path handles: no f-string or dict lookup per
         # context switch.
         self._ctx_counter = metrics.counter(f"cpu.{name}.ctx_switches")
@@ -319,11 +227,6 @@ class Cpu:
                 else:
                     state.queued = True
                     self._run_queue.append(state)
-                    # The run queue just became (or stayed) non-empty:
-                    # coalesced stints would now mispredict preemption,
-                    # so fall back to per-slice events.
-                    if self._co_active:
-                        self._de_coalesce()
 
     def _try_zero_fast_path(self, thread, category: str) -> bool:
         """Complete zero-length work at this instant, skipping the queue.
@@ -369,7 +272,6 @@ class Cpu:
     # -- core machinery ----------------------------------------------------
 
     def _start_stint(self, core: _Core, state: _ThreadState) -> None:
-        core.current = state
         core.stint_used = 0.0
         state.running_on = core
         state.last_core = core
@@ -416,13 +318,6 @@ class Cpu:
         else:
             slice_len = quantum if quantum < remaining else remaining
             core.stint_used = 0.0
-        if (self._coalesce and not self._run_queue
-                and remaining - slice_len > _EPSILON):
-            # Uncontended multi-slice stint: one completion event for
-            # the whole job instead of one per quantum.  De-coalesced
-            # from _submit if the run queue becomes non-empty.
-            self._coalesce_stint(core, state, job, slice_len, extra_delay)
-            return
         # Bare-callback entry, pushed as call_later(extra_delay +
         # slice_len, ...) would: same time expression, same seq.
         sim = self.sim
@@ -467,10 +362,10 @@ class Cpu:
             # One kernel step (_finish) replaces job.succeed() plus a
             # zero-delay decision entry: those two shared a time and had
             # adjacent seqs, so they always dispatched back to back.
-            # Both callers (_slice_done, _co_done) are dispatched
-            # callbacks that return right after this, so when nothing
-            # else is due now the step runs inline; the loop would have
-            # dispatched it next.
+            # The caller (_slice_done) is a dispatched callback that
+            # returns right after this, so when nothing else is due now
+            # the step runs inline; the loop would have dispatched it
+            # next.
             job.triggered = True
             if not sim._due_now():
                 sim._event_count += 1
@@ -500,60 +395,14 @@ class Cpu:
             state.running_on = None
             self._next_thread(core)
 
-    # -- stint coalescing --------------------------------------------------
+    def _coalesce_stint(self, *args) -> None:
+        """Nothing calls this: every job runs as ``_slice_done`` slices.
 
-    def _coalesce_stint(self, core: _Core, state: _ThreadState, job: _Job,
-                        first_slice: float, extra_delay: float) -> None:
-        co = _CoStint(self, core, state, job, first_slice, extra_delay)
-        self.metrics.cpu.co_register(co)
-        self._co_active += 1
-        core.co_gen += 1
-        core.co = co
-        self.sim.call_at(co.final_time(), self._co_done, (core, core.co_gen))
-
-    def _co_done(self, args) -> None:
-        core, gen = args
-        if gen != core.co_gen:
-            return  # de-coalesced mid-stint; this completion is stale
-        co = core.co
-        core.co = None
-        self._co_active -= 1
-        # Commits every outstanding boundary up to now — including this
-        # stint's final slice (next_t == now), after which the cursor is
-        # exhausted and pruned.
-        self.metrics.cpu.co_sync()
-        job = co.job
-        job.remaining = co.remaining
-        core.stint_used = co.stint_used
-        self._complete(core, co.state, job)
-
-    def _de_coalesce(self) -> None:
-        """Fall back to per-slice events on every coalescing core.
-
-        Commits all slice boundaries due so far, then re-materialises
-        each cursor's in-flight slice as a normal ``_slice_done`` event
-        at its original completion instant — from there the sliced
-        machinery (preemption included) takes over, so a stint that
-        loses its uncontended premise is still event-for-event identical
-        to the never-coalesced schedule.
+        Kept only because ``perfbench/run.py`` reads the attribute to
+        count calls into it as ``sim.cpu.coalesced_stints`` (the
+        uncontended-stint coalescing this module once had).  That count
+        now reads 0, and without the attribute ``--trace 1`` fails.
         """
-        acct = self.metrics.cpu
-        acct.co_sync()
-        sources = acct._co_sources
-        mine = [src for src in sources if src.cpu is self]
-        if not mine:
-            return
-        acct._co_sources = [src for src in sources if src.cpu is not self]
-        for co in mine:
-            core = co.core
-            core.co = None
-            core.co_gen += 1  # cancel the pending _co_done
-            self._co_active -= 1
-            co.exhausted = True
-            co.job.remaining = co.remaining
-            core.stint_used = co.stint_used
-            self.sim.call_at(co.next_t, self._slice_done,
-                             (core, co.state, co.job, co.s_next))
 
     # -- preemption / dispatch ---------------------------------------------
 
@@ -591,5 +440,4 @@ class Cpu:
             if state.jobs:
                 self._start_stint(core, state)
                 return
-        core.current = None
         self._idle.append(core)

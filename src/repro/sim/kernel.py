@@ -456,9 +456,9 @@ class Simulator:
         """Schedule ``fn(arg)`` at absolute time *when* — no Event allocated.
 
         Like :meth:`call_later`, but takes the target instant directly so
-        callers replaying a precomputed timeline (e.g. coalesced CPU
-        stints) hit the exact float they computed instead of re-deriving
-        it through ``now + (when - now)``.
+        callers replaying a precomputed timeline (:meth:`call_every`'s
+        absolute tick times) hit the exact float they computed instead
+        of re-deriving it through ``now + (when - now)``.
         """
         if not (when >= self.now):  # also rejects NaN
             raise ValueError(

@@ -13,7 +13,7 @@ import bisect
 import math
 from array import array
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Metrics", "Counter", "CpuCharger", "LatencyRecorder",
            "TimeSeries", "CpuAccounting", "SKETCH_PERCENTILES"]
@@ -461,16 +461,11 @@ class CpuCharger:
 
     def add(self, amount: float) -> None:
         acct = self._acct
-        if acct._co_sources:
-            # Coalesced stints elsewhere may have slice boundaries due
-            # before this charge: commit them first so the global charge
-            # order matches the sliced schedule.
-            acct.co_sync()
         if not self._linked:
             self._linked = True
             acct._order.append(self)
         self.value += amount
-        acct._busy_ever += amount
+        acct.total_busy_ever += amount
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CpuCharger {self.category}={self.value}>"
@@ -486,17 +481,11 @@ class CpuAccounting:
 
     Storage lives in per-category :class:`CpuCharger` handles
     (:meth:`charger`); :attr:`busy_by_category` is a read view built
-    from them.  The accounting also hosts the *coalesced-stint* commit
-    protocol: a :class:`~repro.sim.cpu.Cpu` running an uncontended
-    multi-quantum stint defers its per-slice charges behind a cursor
-    registered here, and every read or charge first calls
-    :meth:`co_sync` to commit all deferred slice boundaries up to the
-    current instant, in exactly the order the sliced schedule would
-    have charged them.
+    from them.
     """
 
-    __slots__ = ("window_start", "_warmup_by_category", "_busy_ever",
-                 "_chargers", "_order", "_co_sources", "_co_reg")
+    __slots__ = ("window_start", "_warmup_by_category", "total_busy_ever",
+                 "_chargers", "_order")
 
     def __init__(self) -> None:
         self._chargers: Dict[str, CpuCharger] = {}
@@ -504,13 +493,11 @@ class CpuAccounting:
         self._order: List[CpuCharger] = []
         self._warmup_by_category: Dict[str, float] = {}
         self.window_start = 0.0
-        # Running total of all busy time ever charged (cheap monotonic
-        # clock of "work done by the machine", used by the cache model);
-        # read through the syncing :attr:`total_busy_ever` property.
-        self._busy_ever = 0.0
-        #: Active coalesced-stint cursors with uncommitted boundaries.
-        self._co_sources: List[Any] = []
-        self._co_reg = 0
+        #: Busy seconds since the start of the run, all categories: a
+        #: monotonic clock of "work done by the machine" (the cache
+        #: model measures other threads' progress with it).  Bumped by
+        #: :meth:`CpuCharger.add`.
+        self.total_busy_ever = 0.0
 
     # -- handles ---------------------------------------------------------
 
@@ -523,22 +510,9 @@ class CpuAccounting:
         return ch
 
     def charge(self, category: str, amount: float) -> None:
-        if amount < 0:
+        if not (amount >= 0):  # also rejects NaN
             raise ValueError("cannot charge negative CPU time")
         self.charger(category).add(amount)
-
-    @property
-    def total_busy_ever(self) -> float:
-        """Busy seconds since the start of the run, all categories.
-
-        A monotonic clock of "work done by the machine" (the cache
-        model measures other threads' progress with it).  Commits any
-        deferred coalesced-stint charges first, so mid-stint reads see
-        exactly what the sliced schedule would have accumulated.
-        """
-        if self._co_sources:
-            self.co_sync()
-        return self._busy_ever
 
     @property
     def busy_by_category(self) -> Dict[str, float]:
@@ -548,77 +522,21 @@ class CpuAccounting:
         categories read as 0.0 like the original storage did); mutate
         through :meth:`charge` / :meth:`charger`.
         """
-        if self._co_sources:
-            self.co_sync()
         view: Dict[str, float] = defaultdict(float)
         for ch in self._order:
             view[ch.category] = ch.value
         return view
 
-    # -- coalesced-stint commit protocol ---------------------------------
-
-    def co_register(self, source: Any) -> None:
-        """Register a coalesced-stint cursor.
-
-        *source* must expose ``sim`` (for ``now``), ``next_t`` /
-        ``prev_t`` (time of its next uncommitted slice boundary and of
-        the boundary before it), ``exhausted``, and
-        ``commit_next(acct)`` advancing one boundary.
-        """
-        self._co_reg += 1
-        source.reg = self._co_reg
-        self._co_sources.append(source)
-
-    def co_sync(self) -> None:
-        """Commit every deferred slice boundary with ``t <= now``.
-
-        Boundaries across concurrent cursors merge in
-        ``(t, prev_t, reg)`` order: time first; ties (structurally
-        aligned stints that started the same instant with equal slice
-        patterns) resolve by scheduling time then registration order,
-        which matches the sliced schedule's event-sequence order.
-        """
-        sources = self._co_sources
-        if not sources:
-            return
-        now = sources[0].sim.now
-        if len(sources) == 1:
-            src = sources[0]
-            while not src.exhausted and src.next_t <= now:
-                src.commit_next(self)
-            if src.exhausted:
-                self._co_sources = []
-            return
-        while True:
-            best = None
-            best_key = None
-            for src in sources:
-                if src.exhausted or src.next_t > now:
-                    continue
-                key = (src.next_t, src.prev_t, src.reg)
-                if best is None or key < best_key:
-                    best = src
-                    best_key = key
-            if best is None:
-                break
-            best.commit_next(self)
-        if any(src.exhausted for src in sources):
-            self._co_sources = [s for s in sources if not s.exhausted]
-
     # -- windows ---------------------------------------------------------
 
     def mark_window_start(self, now: float) -> None:
         """Freeze warm-up totals; subsequent queries subtract them."""
-        if self._co_sources:
-            self.co_sync()
         self.window_start = now
         self._warmup_by_category = {ch.category: ch.value
                                     for ch in self._order}
 
     def windowed(self) -> Dict[str, float]:
         """Busy seconds per category inside the measurement window."""
-        if self._co_sources:
-            self.co_sync()
         warmup = self._warmup_by_category
         return {
             ch.category: ch.value - warmup.get(ch.category, 0.0)

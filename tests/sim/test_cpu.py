@@ -291,7 +291,7 @@ def test_slice_length_matches_min_max_rule(remaining, quantum, stint_used):
     sim = Simulator()
     metrics = Metrics()
     cpu = Cpu(sim, metrics, CostParams().with_overrides(quantum=quantum),
-              cores=1, coalesce=False)
+              cores=1)
     state = _ThreadState(SimThread(cpu))
     job = _Job(sim, remaining, metrics.cpu.charger("app"), [])
     state.jobs.append(job)

@@ -25,7 +25,7 @@ Q = CostParams().quantum
 
 def run_script(script, cores, pokes=(), always_busy=False):
     """Run *script*; return its observables and a tally of completion
-    branches and of coalesced / de-coalesced stints.
+    branches.
 
     *script* has one ``(start_delay, [(amount, category, gap, then)])``
     tuple per thread: *gap* > 0 blocks the thread for that long after
@@ -33,27 +33,16 @@ def run_script(script, cores, pokes=(), always_busy=False):
     each instant in *pokes* a callback schedules one more same-instant
     entry, which a completion at that instant then finds due.
     """
-    tally = {"inline": 0, "queued": 0, "coalesced": 0, "de_coalesced": 0}
+    tally = {"inline": 0, "queued": 0}
     due_now = Simulator._due_now
-    coalesce, de_coalesce = Cpu._coalesce_stint, Cpu._de_coalesce
 
     def counted_due_now(sim):
         busy = always_busy or due_now(sim)
         tally["queued" if busy else "inline"] += 1
         return busy
 
-    def counted_coalesce(cpu, *args):
-        tally["coalesced"] += 1
-        coalesce(cpu, *args)
-
-    def counted_de_coalesce(cpu):
-        tally["de_coalesced"] += 1
-        de_coalesce(cpu)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Simulator, "_due_now", counted_due_now)
-        patch.setattr(Cpu, "_coalesce_stint", counted_coalesce)
-        patch.setattr(Cpu, "_de_coalesce", counted_de_coalesce)
         return _run(script, cores, pokes), tally
 
 
@@ -131,17 +120,13 @@ def assert_branches_agree(script, cores, pokes=()):
     return natural, tally
 
 
-def branches(tally):
-    return {"inline": tally["inline"], "queued": tally["queued"]}
-
-
 class TestScripted:
     def test_lone_thread_runs_every_completion_inline(self):
         script = [(0.0, [(0.5 * Q, "app", 0.0, False),
                          (3.0 * Q, "app", Q, False),
                          (0.0, "io", 0.0, False)])]
         result, tally = assert_branches_agree(script, cores=1)
-        assert branches(tally) == {"inline": 2, "queued": 0}
+        assert tally == {"inline": 2, "queued": 0}
         assert [entry[2] for entry in result["log"]] == [
             "start", "job0", "job1", "job2"]
 
@@ -152,7 +137,7 @@ class TestScripted:
         job = [(2.0 * Q, "app", 0.0, False)]
         _, tally = assert_branches_agree([(0.0, job), (0.0, job)],
                                          cores=2)
-        assert branches(tally) == {"inline": 0, "queued": 2}
+        assert tally == {"inline": 0, "queued": 2}
 
     def test_poke_on_completion_instant_forces_queueing(self):
         script = [(0.0, [(0.5 * Q, "app", 0.0, False)])]
@@ -160,7 +145,7 @@ class TestScripted:
         instant = pilot["log"][-1][0]
         result, tally = assert_branches_agree(script, cores=1,
                                               pokes=[instant])
-        assert branches(tally) == {"inline": 0, "queued": 1}
+        assert tally == {"inline": 0, "queued": 1}
         # The poke was scheduled before the completion step was, so
         # it still runs first.
         assert [entry[2] for entry in result["log"]] == [
@@ -169,8 +154,8 @@ class TestScripted:
 
 class TestRandomized:
     """Seeded random workloads: zero, sub-quantum and multi-quantum jobs,
-    both with more threads than cores (preemption, de-coalescing) and
-    with no more threads than cores (coalesced stints)."""
+    both with more threads than cores (preemption) and with no more
+    threads than cores (uncontended stints)."""
 
     def _check(self, seed, oversubscribed):
         rng = random.Random(seed)
@@ -199,4 +184,3 @@ class TestRandomized:
     def test_no_more_threads_than_cores(self):
         totals = self._totals(100, oversubscribed=False)
         assert totals["inline"] and totals["queued"], totals
-        assert totals["coalesced"], totals

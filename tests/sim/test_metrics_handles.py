@@ -98,6 +98,15 @@ class TestChargerHandles:
         with pytest.raises(ValueError):
             acct.charge("app", -1.0)
 
+    def test_nan_charge_rejected(self):
+        """NaN fails ``amount < 0`` too; it must still be refused, or
+        it poisons every share and the busy-time clock."""
+        acct = CpuAccounting()
+        with pytest.raises(ValueError, match="negative"):
+            acct.charge("app", float("nan"))
+        assert acct.busy_by_category == {}
+        assert acct.total_busy_ever == 0.0
+
     def test_busy_by_category_missing_key_reads_zero(self):
         acct = CpuAccounting()
         acct.charge("app", 1.0)
