@@ -22,6 +22,12 @@ Measures the hot paths the exhibit harness spends its time in:
   stays hot (guards the preemption path).  ``--check`` skips both: the
   scheduler's regression pin is the end-to-end ``closed_large``
   workload in ``perfbench/``.
+- ``cpu_job_cycle_ratio`` — what one CPU job costs next to a plain
+  kernel event: µs per ``yield thread.execute(1e-6)`` cycle of a lone
+  thread on a one-core :class:`repro.sim.cpu.Cpu`, divided by µs per
+  ``yield sim.timeout(1e-6)`` cycle (the same simulated effect with no
+  scheduler), both measured in this process.  A diagnostic of the
+  scheduler's fixed per-job overhead; ``--check`` skips it.
 - ``trace_overhead_ratio`` — what 1%-sampled request tracing
   (``repro.trace``) costs on a real exhibit-shaped run: the median of
   paired untraced/traced wall-time ratios over identical simulations
@@ -201,6 +207,46 @@ def bench_scheduler(threads: int = 2, jobs: int = 400, work: float = 8.0e-3,
     return sim._event_count / elapsed
 
 
+def bench_cpu_job_cycle(cycles: int = 50_000, rounds: int = 5) -> float:
+    """µs per ``execute`` cycle over µs per ``timeout`` cycle.
+
+    One process chains *cycles* 1 µs steps, once as CPU jobs on its own
+    thread (a one-core ``Cpu``, so every job is a same-instant
+    continuation on a warm core) and once as plain timeouts.  The two
+    runs alternate for *rounds* rounds; the ratio is of the fastest run
+    of each, the least noisy estimate of each path's cost.
+    """
+    from repro.sim.cpu import Cpu
+    from repro.sim.metrics import Metrics
+    from repro.sim.params import CostParams
+    from repro.sim.threads import SimThread
+
+    def jobs(thread, n):
+        for _ in range(n):
+            yield thread.execute(1e-6)
+
+    def timeouts(sim, n):
+        for _ in range(n):
+            yield sim.timeout(1e-6)
+
+    def run(use_cpu: bool) -> float:
+        sim = Simulator()
+        if use_cpu:
+            cpu = Cpu(sim, Metrics(), CostParams(), cores=1)
+            sim.process(jobs(SimThread(cpu), cycles))
+        else:
+            sim.process(timeouts(sim, cycles))
+        started = time.perf_counter()
+        sim.run()
+        return (time.perf_counter() - started) / cycles * 1e6
+
+    job_us = timeout_us = float("inf")
+    for _ in range(rounds):
+        job_us = min(job_us, run(True))
+        timeout_us = min(timeout_us, run(False))
+    return job_us / timeout_us
+
+
 def bench_trace_overhead(rounds: int = 3, duration: float = 0.5) -> float:
     """1%-sampled tracing cost on a real exhibit-shaped run.
 
@@ -312,6 +358,8 @@ def run_all(with_exhibit: bool = True, quick: bool = False,
             "percentile_query_sec": round(
                 min(bench_percentiles() for _ in range(3)), 4),
         }
+    metrics["cpu_job_cycle_ratio"] = round(
+        bench_cpu_job_cycle(cycles=20_000 if quick else 50_000), 2)
     metrics["trace_overhead_ratio"] = round(
         bench_trace_overhead(rounds=3 if quick else 5,
                              duration=0.4 if quick else 0.8), 3)

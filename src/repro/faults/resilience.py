@@ -107,15 +107,16 @@ class ResilienceConfig:
     failover: bool = True
 
     def __post_init__(self) -> None:
-        if self.subquery_deadline < 0:
+        # Written as not (x >= bound) so NaN fails too.
+        if not (self.subquery_deadline >= 0):
             raise ValueError("subquery_deadline must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
+        if not (0 < self.backoff_base <= self.backoff_cap):
             raise ValueError("need 0 < backoff_base <= backoff_cap")
         if not 0.0 <= self.backoff_jitter < 1.0:
             raise ValueError("backoff_jitter must be in [0, 1)")
-        if self.hedge_delay < 0:
+        if not (self.hedge_delay >= 0):
             raise ValueError("hedge_delay must be >= 0")
         if not 0.0 <= self.hedge_percentile <= 100.0:
             raise ValueError("hedge_percentile must be in [0, 100]")

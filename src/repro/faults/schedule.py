@@ -93,24 +93,25 @@ class FaultConfig:
     def __post_init__(self) -> None:
         if self.slow_shards < 0 or self.crash_shards < 0:
             raise ValueError("fault shard counts must be >= 0")
-        if self.slow_factor < 1.0:
+        # Written as not (x >= bound) so NaN fails too.
+        if not (self.slow_factor >= 1.0):
             raise ValueError("slow_factor must be >= 1")
-        if self.slow_shards and (self.slow_mean_on <= 0
-                                 or self.slow_mean_off <= 0):
+        if self.slow_shards and not (self.slow_mean_on > 0
+                                     and self.slow_mean_off > 0):
             raise ValueError("slowdown window means must be positive")
-        if self.crash_shards and (self.crash_mtbf <= 0
-                                  or self.crash_mttr <= 0):
+        if self.crash_shards and not (self.crash_mtbf > 0
+                                      and self.crash_mttr > 0):
             raise ValueError("crash MTBF/MTTR must be positive")
-        if self.spike_rate < 0 or self.spike_extra < 0:
+        if not (self.spike_rate >= 0 and self.spike_extra >= 0):
             raise ValueError("spike rate/extra must be >= 0")
-        if self.spike_rate > 0 and self.spike_duration <= 0:
+        if self.spike_rate > 0 and not (self.spike_duration > 0):
             raise ValueError("spike_duration must be positive")
         if self.rack_slow_racks < 0:
             raise ValueError("rack_slow_racks must be >= 0")
-        if self.rack_slow_factor < 1.0:
+        if not (self.rack_slow_factor >= 1.0):
             raise ValueError("rack_slow_factor must be >= 1")
-        if self.rack_slow_racks and (self.rack_slow_mean_on <= 0
-                                     or self.rack_slow_mean_off <= 0):
+        if self.rack_slow_racks and not (self.rack_slow_mean_on > 0
+                                         and self.rack_slow_mean_off > 0):
             raise ValueError("rack slowdown window means must be positive")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError("loss_prob must be in [0, 1)")

@@ -26,6 +26,13 @@ else is due); and the per-job bookkeeping (load integral, slice length,
 the slice's queue entry) is written out inline rather than through
 helper calls.  There is one schedule: every job runs as per-quantum
 ``_slice_done`` slices, contended or not.
+
+A job costs one scheduler frame at each end.  ``_slice_done`` is the
+whole slice end: the charge, then the job's next slice, or its
+completion step (waiters resume, then the core's decision, including
+the push of a continuing thread's next slice).  ``execute`` books a
+same-instant continuation (the thread still holds its core and has no
+job queued, the common case) itself, without ``_submit``.
 """
 
 from __future__ import annotations
@@ -97,10 +104,9 @@ class _ThreadState:
 
 
 class _Core:
-    __slots__ = ("index", "last_thread", "stint_used")
+    __slots__ = ("last_thread", "stint_used")
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self) -> None:
         #: Thread that last ran here (for context-switch accounting).
         self.last_thread = None
         #: CPU time this thread has used in its current stint.
@@ -119,7 +125,7 @@ class Cpu:
         n_cores = cores if cores is not None else params.app_cores
         if n_cores < 1:
             raise ValueError("a CPU needs at least one core")
-        self.cores: List[_Core] = [_Core(i) for i in range(n_cores)]
+        self.cores: List[_Core] = [_Core() for _ in range(n_cores)]
         self._idle: Deque[_Core] = deque(self.cores)
         self._run_queue: Deque[_ThreadState] = deque()
         self._states: Dict[int, _ThreadState] = {}
@@ -167,6 +173,26 @@ class Cpu:
         """
         if not (amount >= 0):  # also rejects NaN
             raise ValueError("cannot execute negative work")
+        state = self._states.get(thread.tid)
+        if state is not None and state.running_on is not None \
+                and not state.jobs:
+            # Same-instant continuation: the thread just finished a job
+            # and still holds its core, which picks the new job up when
+            # the completion step decides.  This is _submit's
+            # became-runnable branch without the dispatch; the load
+            # update is skipped when it would add a zero-width interval
+            # (the usual case: _slice_done updated it at `now`).
+            charger = (self._chargers.get(category)
+                       or self._acct.charger(category))
+            job = _Job(self.sim, amount, charger, [])
+            state.jobs.append(job)
+            now = self.sim.now
+            if now != self._load_last_t:
+                self._load_integral += self._load_current * (
+                    now - self._load_last_t)
+                self._load_last_t = now
+            self._load_current += 1
+            return job
         if amount == 0.0 and self._try_zero_fast_path(thread, category):
             return Event(self.sim).succeed()
         charger = self._chargers.get(category) or self._acct.charger(category)
@@ -206,8 +232,9 @@ class Cpu:
         if was_idle:
             # Thread just became runnable: load integral as in
             # _load_delta(+1), same float expression.  If it is
-            # mid-decision on a core (same-instant continuation) the
-            # core picks it up in _finish; otherwise enqueue or
+            # mid-decision on a core (a continuation from an
+            # execute_then callback; execute handles its own) the core
+            # picks it up in the completion step; otherwise enqueue or
             # dispatch now.
             now = self.sim.now
             self._load_integral += self._load_current * (
@@ -326,11 +353,21 @@ class Cpu:
                               self._slice_done, (core, state, job, slice_len)))
 
     def _slice_done(self, args) -> None:
+        """End of a slice, one frame: the charge, then either the job's
+        next slice or its completion step."""
         core, state, job, slice_len = args
-        job.charger.add(slice_len)
+        # The charge, as job.charger.add(slice_len): the first charge
+        # of a category links its handle into the accounting's order.
+        charger = job.charger
+        acct = self._acct
+        if not charger._linked:
+            charger._linked = True
+            acct._order.append(charger)
+        charger.value += slice_len
+        acct.total_busy_ever += slice_len
         core.stint_used += slice_len
-        job.remaining -= slice_len
-        if job.remaining > _EPSILON:
+        job.remaining = remaining = job.remaining - slice_len
+        if remaining > _EPSILON:
             # Quantum expired mid-job: preempt if someone is waiting.
             if self._run_queue:
                 self._preempt(core, state)
@@ -338,12 +375,9 @@ class Cpu:
                 core.stint_used = 0.0
                 self._run_slice(core, state)
             return
-        self._complete(core, state, job)
-
-    def _complete(self, core: _Core, state: _ThreadState, job: _Job) -> None:
-        # Job complete: let the owning process react (it may immediately
-        # issue the next work request), then decide what this core does.
         sim = self.sim
+        # Job complete: let the owning process react (it may issue its
+        # next work request at once), then decide what this core does.
         jobs = state.jobs
         jobs.popleft()
         if not jobs:
@@ -353,7 +387,8 @@ class Cpu:
                 now - self._load_last_t)
             self._load_last_t = now
             self._load_current -= 1
-        if job.callbacks is None:
+        callbacks = job.callbacks
+        if callbacks is None:
             # execute_then: the callback now, the core's decision as a
             # zero-delay step.
             if job.fn is not None:
@@ -362,21 +397,50 @@ class Cpu:
             # One kernel step (_finish) replaces job.succeed() plus a
             # zero-delay decision entry: those two shared a time and had
             # adjacent seqs, so they always dispatched back to back.
-            # The caller (_slice_done) is a dispatched callback that
-            # returns right after this, so when nothing else is due now
-            # the step runs inline; the loop would have dispatched it
-            # next.
+            # This is a dispatched callback that returns right after
+            # the step, so when nothing else is due now the step runs
+            # here, written out; the loop would have dispatched it next.
             job.triggered = True
             if not sim._due_now():
                 sim._event_count += 1
-                self._finish((core, state, job))
+                job.callbacks = None
+                job.processed = True
+                for callback in callbacks:
+                    callback(job)
+                if not jobs:
+                    # The thread blocked or finished: release the core.
+                    state.running_on = None
+                    self._next_thread(core)
+                elif core.stint_used < self._quantum or not self._run_queue:
+                    # The thread continued: _run_slice, written out.  Its
+                    # time `now + (0.0 + slice_len)` is `now + slice_len`
+                    # (they differ only in the sign of a zero slice, and
+                    # `now + -0.0 == now + 0.0`).
+                    job = jobs[0]
+                    remaining = job.remaining
+                    quantum = self._quantum
+                    quantum_left = quantum - core.stint_used
+                    if quantum_left > 0.0 and remaining > 0.0:
+                        slice_len = (quantum_left if quantum_left < remaining
+                                     else remaining)
+                    else:
+                        slice_len = quantum if quantum < remaining else remaining
+                        core.stint_used = 0.0
+                    sim._seq = seq = sim._seq + 1
+                    heappush(sim._queue, (sim.now + slice_len, seq,
+                                          self._slice_done,
+                                          (core, state, job, slice_len)))
+                else:
+                    self._preempt(core, state)
                 return
         sim._seq = seq = sim._seq + 1
         heappush(sim._queue, (sim.now, seq, self._finish, (core, state, job)))
 
     def _finish(self, args) -> None:
-        """Completion step of a job: process its event (an ``execute``
-        job's waiters resume), then decide what the core does next."""
+        """Queued completion step of a job: process its event (an
+        ``execute`` job's waiters resume), then decide what the core
+        does next.  ``_slice_done`` runs the same step in place when
+        nothing else is due."""
         core, state, job = args
         callbacks = job.callbacks
         if callbacks is not None:

@@ -16,7 +16,9 @@ The model is the classic *event / process* pair:
   :class:`Event` objects; the process suspends until the yielded event
   triggers and then resumes with the event's value (or the event's
   exception is thrown into the generator).  Helper coroutines compose
-  with ``yield from``.
+  with ``yield from``.  Each yield registers the process's one cached
+  bound ``_resume`` as the event's callback, so the kernel allocates
+  nothing per yield.
 
 All times are floats in **seconds** of simulated time.  The simulator is
 fully deterministic: ties in time are broken by a monotonically
@@ -215,7 +217,7 @@ class Process(Event):
     processes can wait on other processes.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "_send", "_throw")
+    __slots__ = ("generator", "name", "_send", "_throw", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
                  name: str = "") -> None:
@@ -228,12 +230,17 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
+        #: The bound ``_resume``, made once: every yield registers this
+        #: one object instead of allocating a fresh bound method.  It
+        #: refers back to the process, so ``_resume`` clears it when the
+        #: generator ends and a finished process is still freed by
+        #: reference counting, not by the cyclic GC.
+        self._resume_cb = resume = self._resume
         # Kick off at the current time with a bare-callback entry: the
         # shared pre-made null event stands in for a bootstrap Event, so
         # starting a process allocates nothing beyond the queue tuple.
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim.now, seq, self._resume, sim._null_event))
+        heappush(sim._queue, (sim.now, seq, resume, sim._null_event))
 
     @property
     def is_alive(self) -> bool:
@@ -241,16 +248,17 @@ class Process(Event):
         return not self.triggered
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event._exception is not None:
                 target = self._throw(event._exception)
             else:
                 target = self._send(event._value)
         except StopIteration as stop:
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001
+            self._resume_cb = None
             if self.callbacks:
                 # Someone is waiting on this process: deliver the failure.
                 self.fail(exc)
@@ -264,17 +272,17 @@ class Process(Event):
                 "yield Event instances"
             )
             self.generator.close()
+            self._resume_cb = None
             if self.callbacks:
                 self.fail(exc)
                 return
             raise exc
-        self._waiting_on = target
         # Inlined target.add_callback(self._resume) — one per yield.
         callbacks = target.callbacks
         if callbacks is None:
             self._resume(target)
         else:
-            callbacks.append(self._resume)
+            callbacks.append(self._resume_cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name} alive={self.is_alive}>"

@@ -6,6 +6,8 @@ attributes to multithreading:
 - :class:`Mutex` charges ``futex`` CPU (category ``lock``) on both sides
   of every *contended* hand-off, so lock-contention CPU share (Table 1)
   emerges from actual queueing on shared structures.
+  :func:`locked_section`, the form every driver and pool uses, runs as
+  one generator; ``Mutex.acquire``/``release`` are its reference.
 - :class:`OnDemandPool` implements the JVM-style pool of the Type-2b
   AIO driver: workers are spawned when work arrives and no worker is
   idle (charging ``thread_init`` CPU) and terminate after an idle
@@ -113,6 +115,11 @@ class Mutex:
         if self.owner is None:
             self.owner = thread
             return
+        yield from self._wait(thread)
+
+    def _wait(self, thread: SimThread):
+        """Coroutine: the contended part of an acquire, after the CAS
+        found the lock taken; returns once *thread* holds the lock."""
         self._contended.add()
         self._contended_total.add()
         start = self.sim.now
@@ -133,10 +140,7 @@ class Mutex:
     def release(self, thread: SimThread):
         """Coroutine: release the lock and wake the next waiter, if any."""
         if self.owner is not thread:
-            raise RuntimeError(
-                f"mutex {self.name} released by {thread.name} but held by "
-                f"{self.owner.name if self.owner else None}"
-            )
+            raise self._not_owner(thread)
         self.owner = None
         woke = False
         while self._waiters:
@@ -149,6 +153,12 @@ class Mutex:
             # futex_wake syscall on the releasing side.
             yield self.cpu.execute(thread, self.params.futex_cost, "lock")
 
+    def _not_owner(self, thread: SimThread) -> RuntimeError:
+        return RuntimeError(
+            f"mutex {self.name} released by {thread.name} but held by "
+            f"{self.owner.name if self.owner else None}"
+        )
+
 
 def locked_section(thread: SimThread, mutex: Mutex, hold: float,
                    category: str = "app"):
@@ -156,12 +166,33 @@ def locked_section(thread: SimThread, mutex: Mutex, hold: float,
 
     This is the unit of every shared-structure operation (pool task
     queues, connection-pool checkout) whose contention the paper
-    measures.
+    measures.  It behaves exactly like ``yield from mutex.acquire(t)``,
+    ``yield t.execute(hold, category)`` (when *hold* > 0) and
+    ``yield from mutex.release(t)``, but runs as one generator: the
+    CAS, the hold and the release are written out here, and only a
+    contended acquire enters a second one (:meth:`Mutex._wait`).
     """
-    yield from mutex.acquire(thread)
+    cpu = mutex.cpu
+    # Mutex.acquire: the fast-path CAS, then the wait if it failed.
+    yield cpu.execute(thread, mutex.params.cas_cost, "app")
+    if mutex.owner is None:
+        mutex.owner = thread
+    else:
+        yield from mutex._wait(thread)
     if hold > 0:
         yield thread.execute(hold, category)
-    yield from mutex.release(thread)
+    # Mutex.release: free the lock, wake one live waiter and pay the
+    # futex_wake for it.
+    if mutex.owner is not thread:
+        raise mutex._not_owner(thread)
+    mutex.owner = None
+    waiters = mutex._waiters
+    while waiters:
+        waiter = waiters.popleft()
+        if not waiter.triggered:
+            waiter.succeed()
+            yield cpu.execute(thread, mutex.params.futex_cost, "lock")
+            return
 
 
 class _PoolBase:

@@ -14,6 +14,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.rng import RngStreams
 
+NAN = float("nan")
+
 
 class FakeEndpoint:
     def __init__(self):
@@ -104,6 +106,16 @@ class TestResilienceConfig:
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ValueError):
+            ResilienceConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(subquery_deadline=NAN), "subquery_deadline"),
+        (dict(hedge_delay=NAN), "hedge_delay"),
+        (dict(backoff_base=NAN), "backoff_base"),
+        (dict(backoff_cap=NAN), "backoff_cap"),
+    ])
+    def test_validation_rejects_nan(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             ResilienceConfig(**kwargs)
 
 

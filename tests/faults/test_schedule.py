@@ -6,6 +6,8 @@ from repro.faults import FaultConfig, FaultSchedule
 from repro.faults.schedule import _WindowTrack
 from repro.sim.rng import RngStreams
 
+NAN = float("nan")
+
 
 class TestFaultConfig:
     def test_default_is_inactive(self):
@@ -41,6 +43,23 @@ class TestFaultConfig:
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ValueError):
+            FaultConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(slow_factor=NAN), "slow_factor"),
+        (dict(slow_shards=1, slow_mean_on=NAN), "slowdown window"),
+        (dict(slow_shards=1, slow_mean_off=NAN), "slowdown window"),
+        (dict(crash_shards=1, crash_mtbf=NAN), "MTBF/MTTR"),
+        (dict(crash_shards=1, crash_mttr=NAN), "MTBF/MTTR"),
+        (dict(spike_rate=NAN), "spike rate/extra"),
+        (dict(spike_extra=NAN), "spike rate/extra"),
+        (dict(spike_rate=1.0, spike_duration=NAN), "spike_duration"),
+        (dict(rack_slow_factor=NAN), "rack_slow_factor"),
+        (dict(rack_slow_racks=1, rack_slow_mean_on=NAN), "rack slowdown"),
+        (dict(rack_slow_racks=1, rack_slow_mean_off=NAN), "rack slowdown"),
+    ])
+    def test_validation_rejects_nan(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             FaultConfig(**kwargs)
 
 
