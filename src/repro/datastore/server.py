@@ -73,8 +73,9 @@ class ShardServer:
             params, rng, speed_factor=speed_factor, size_factor=size_factor)
         self._inbox: Queue = Queue(sim)
         self.queries_served = 0
-        # Interned per-query instruments (fault counters stay lazy so
-        # healthy runs never report zero-valued fault keys).
+        # Interned per-query instruments (fault counters are bumped by
+        # name, so they appear on first count and healthy runs never
+        # report zero-valued fault keys).
         self._queries = metrics.counter("datastore.queries")
         self._shard_queries = metrics.counter(
             f"datastore.shard.{shard_id}.queries")

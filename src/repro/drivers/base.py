@@ -131,8 +131,9 @@ class AppServer:
         self._request_cpu_rng = rng_streams.stream(f"{self.name}.request_cpu")
         self.requests_completed = 0
         # Interned per-request instruments.  The degraded counter and
-        # other fault-path names stay lazy: healthy runs must not grow
-        # zero-valued fault keys.  Per-class counters are interned on
+        # other fault-path names are bumped by name, so they appear on
+        # first count: healthy runs must not grow zero-valued fault
+        # keys.  Per-class counters are interned on
         # first use so their relative creation order is unchanged.
         self._requests_counter = metrics.counter("server.requests")
         self._fanout_responses = metrics.counter("server.fanout_responses")

@@ -48,7 +48,8 @@ class SyncConnectionPool:
                          List[Tuple[Connection, InboxEndpoint]]] = (
             defaultdict(list))
         self.created = 0
-        # Interned per-checkout counters (resilience.* names stay lazy).
+        # Interned per-checkout counters (resilience.* names are bumped
+        # by name, on first count).
         self._reused = metrics.counter(f"pool.{name}.reused")
         self._created = metrics.counter(f"pool.{name}.created")
 

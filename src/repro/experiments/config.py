@@ -66,16 +66,11 @@ class ExperimentConfig:
     #: ``Pool`` payload; the aggregates are always computed.  Only
     #: affects what the result carries, never the simulation itself.
     keep_selector_stats: bool = True
-    #: Record client latencies in the P-squared streaming sketch instead
-    #: of the exact sample store (bounded memory for long windows; the
-    #: reported percentiles become estimates).  Exact is the default.
-    latency_sketch: bool = False
     #: Ship the raw windowed ``client.rt`` samples in the result as
     #: flat (time, value) float columns (``latency_times`` /
-    #: ``latency_values``).  Off by default — the columns can run to
-    #: hundreds of thousands of samples on full tail windows — and a
-    #: no-op in sketch mode, which stores no samples.  Only affects
-    #: what the result carries, never the simulation itself.
+    #: ``latency_values``).  Off by default: the columns grow with the
+    #: window.  Only affects what the result carries, never the
+    #: simulation itself.
     keep_latency_samples: bool = False
     #: Deterministic fault injection (None = fault-free; the default
     #: keeps every pre-existing run byte-identical).

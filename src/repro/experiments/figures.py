@@ -510,10 +510,6 @@ def _tail_points(lfan: int, sfan: int, size: int, large_shards: bool,
         lfan=lfan, sfan=sfan, response_size=size, reactors=1,
         large_shards=large_shards, warmup=4.0, duration=duration,
         seed=seed, keep_selector_stats=False,
-        # Full tail windows record millions of latency samples; the
-        # P-squared sketch bounds memory.  Quick runs stay exact so the
-        # regression tests pin exact-mode numbers.
-        latency_sketch=not quick,
         params={"app_cores": 1,
                            "request_cpu": request_cpu,
                            "request_cpu_cv": request_cpu_cv,

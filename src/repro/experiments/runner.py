@@ -137,7 +137,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def _simulate(config: ExperimentConfig) -> ExperimentResult:
     sim = Simulator()
-    metrics = Metrics(latency_sketch=config.latency_sketch)
+    metrics = Metrics()
     params = build_params(config)
     rng = RngStreams(config.seed)
     faults = None

@@ -19,13 +19,12 @@ models a node's cores explicitly, with Linux-like semantics:
 
 Hot-path notes (see DESIGN.md "Scheduler hot path"): metric names are
 interned once into handle objects; a work request is one :class:`_Job`,
-which is also its own completion event (``execute`` returns it, and
-``execute_then`` jobs call ``fn(arg)`` instead and are never dispatched);
-an ``execute`` completion is one kernel step (run inline when nothing
-else is due); and the per-job bookkeeping (load integral, slice length,
-the slice's queue entry) is written out inline rather than through
-helper calls.  There is one schedule: every job runs as per-quantum
-``_slice_done`` slices, contended or not.
+which is also its own completion event (``execute`` returns it); a
+completion is one kernel step (run inline when nothing else is due);
+and the per-job bookkeeping (load integral, slice length, the slice's
+queue entry) is written out inline rather than through helper calls.
+There is one schedule: every job runs as per-quantum ``_slice_done``
+slices, contended or not.
 
 A job costs one scheduler frame at each end.  ``_slice_done`` is the
 whole slice end: the charge, then the job's next slice, or its
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from .kernel import Event, Simulator
 from .metrics import CpuCharger, Metrics
@@ -56,20 +55,16 @@ class _Job(Event):
     """One work request, and its own completion event.
 
     ``execute`` returns the job itself; it triggers when the work is
-    done.  ``execute_then`` jobs carry ``callbacks = None`` and call
-    ``fn(arg)`` instead: they are never dispatched as events.
+    done.
     """
 
-    __slots__ = ("remaining", "total", "preempted_at_busy", "charger",
-                 "fn", "arg")
+    __slots__ = ("remaining", "total", "preempted_at_busy", "charger")
 
-    def __init__(self, sim: Simulator, remaining: float, charger: CpuCharger,
-                 callbacks: Optional[list],
-                 fn: Optional[Callable[[Any], None]] = None,
-                 arg: Any = None) -> None:
+    def __init__(self, sim: Simulator, remaining: float,
+                 charger: CpuCharger) -> None:
         # The Event slots, assigned directly (no Event.__init__ frame).
         self.sim = sim
-        self.callbacks = callbacks
+        self.callbacks = []
         self._value = None
         self._exception = None
         self.triggered = False
@@ -81,9 +76,6 @@ class _Job(Event):
         #: Machine-busy-time stamp of the preemption, or None while the
         #: job's cache state is intact.
         self.preempted_at_busy = None
-        #: Completion callback for ``execute_then`` jobs.
-        self.fn = fn
-        self.arg = arg
 
 
 class _ThreadState:
@@ -184,7 +176,7 @@ class Cpu:
             # (the usual case: _slice_done updated it at `now`).
             charger = (self._chargers.get(category)
                        or self._acct.charger(category))
-            job = _Job(self.sim, amount, charger, [])
+            job = _Job(self.sim, amount, charger)
             state.jobs.append(job)
             now = self.sim.now
             if now != self._load_last_t:
@@ -196,30 +188,9 @@ class Cpu:
         if amount == 0.0 and self._try_zero_fast_path(thread, category):
             return Event(self.sim).succeed()
         charger = self._chargers.get(category) or self._acct.charger(category)
-        job = _Job(self.sim, amount, charger, [])
+        job = _Job(self.sim, amount, charger)
         self._submit(thread, job)
         return job
-
-    def execute_then(self, thread, amount: float, category: str = "app",
-                     fn: Optional[Callable[[Any], None]] = None,
-                     arg: Any = None) -> None:
-        """Request CPU for *thread*, then call ``fn(arg)`` — no event.
-
-        The fire-and-forget counterpart of :meth:`execute`, in the style
-        of ``Simulator.call_later``: charges and scheduling are
-        identical, but the job is never triggered or dispatched as an
-        event.  With ``fn=None`` this is a pure charge (the common case
-        for call sites that discarded :meth:`execute`'s event).  The
-        callback cannot be cancelled or waited on.
-        """
-        if not (amount >= 0):  # also rejects NaN
-            raise ValueError("cannot execute negative work")
-        if amount == 0.0 and self._try_zero_fast_path(thread, category):
-            if fn is not None:
-                fn(arg)
-            return
-        charger = self._chargers.get(category) or self._acct.charger(category)
-        self._submit(thread, _Job(self.sim, amount, charger, None, fn, arg))
 
     def _submit(self, thread, job: _Job) -> None:
         state = self._states.get(thread.tid)
@@ -231,29 +202,27 @@ class Cpu:
         jobs.append(job)
         if was_idle:
             # Thread just became runnable: load integral as in
-            # _load_delta(+1), same float expression.  If it is
-            # mid-decision on a core (a continuation from an
-            # execute_then callback; execute handles its own) the core
-            # picks it up in the completion step; otherwise enqueue or
-            # dispatch now.
+            # _load_delta(+1), same float expression.  It is off-core
+            # (execute books a continuation on a held core itself) and
+            # not queued (a queued thread has a job), so enqueue or
+            # dispatch it now.
             now = self.sim.now
             self._load_integral += self._load_current * (
                 now - self._load_last_t)
             self._load_last_t = now
             self._load_current += 1
-            if state.running_on is None and not state.queued:
-                if self._idle:
-                    # Wake-up affinity: prefer the core this thread last
-                    # ran on (its cache lines may still be warm there).
-                    core = state.last_core
-                    if core is not None and core in self._idle:
-                        self._idle.remove(core)
-                    else:
-                        core = self._idle.popleft()
-                    self._start_stint(core, state)
+            if self._idle:
+                # Wake-up affinity: prefer the core this thread last ran
+                # on (its cache lines may still be warm there).
+                core = state.last_core
+                if core is not None and core in self._idle:
+                    self._idle.remove(core)
                 else:
-                    state.queued = True
-                    self._run_queue.append(state)
+                    core = self._idle.popleft()
+                self._start_stint(core, state)
+            else:
+                state.queued = True
+                self._run_queue.append(state)
 
     def _try_zero_fast_path(self, thread, category: str) -> bool:
         """Complete zero-length work at this instant, skipping the queue.
@@ -387,67 +356,59 @@ class Cpu:
                 now - self._load_last_t)
             self._load_last_t = now
             self._load_current -= 1
-        callbacks = job.callbacks
-        if callbacks is None:
-            # execute_then: the callback now, the core's decision as a
-            # zero-delay step.
-            if job.fn is not None:
-                job.fn(job.arg)
-        else:
-            # One kernel step (_finish) replaces job.succeed() plus a
-            # zero-delay decision entry: those two shared a time and had
-            # adjacent seqs, so they always dispatched back to back.
-            # This is a dispatched callback that returns right after
-            # the step, so when nothing else is due now the step runs
-            # here, written out; the loop would have dispatched it next.
-            job.triggered = True
-            if not sim._due_now():
-                sim._event_count += 1
-                job.callbacks = None
-                job.processed = True
-                for callback in callbacks:
-                    callback(job)
-                if not jobs:
-                    # The thread blocked or finished: release the core.
-                    state.running_on = None
-                    self._next_thread(core)
-                elif core.stint_used < self._quantum or not self._run_queue:
-                    # The thread continued: _run_slice, written out.  Its
-                    # time `now + (0.0 + slice_len)` is `now + slice_len`
-                    # (they differ only in the sign of a zero slice, and
-                    # `now + -0.0 == now + 0.0`).
-                    job = jobs[0]
-                    remaining = job.remaining
-                    quantum = self._quantum
-                    quantum_left = quantum - core.stint_used
-                    if quantum_left > 0.0 and remaining > 0.0:
-                        slice_len = (quantum_left if quantum_left < remaining
-                                     else remaining)
-                    else:
-                        slice_len = quantum if quantum < remaining else remaining
-                        core.stint_used = 0.0
-                    sim._seq = seq = sim._seq + 1
-                    heappush(sim._queue, (sim.now + slice_len, seq,
-                                          self._slice_done,
-                                          (core, state, job, slice_len)))
-                else:
-                    self._preempt(core, state)
-                return
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim.now, seq, self._finish, (core, state, job)))
-
-    def _finish(self, args) -> None:
-        """Queued completion step of a job: process its event (an
-        ``execute`` job's waiters resume), then decide what the core
-        does next.  ``_slice_done`` runs the same step in place when
-        nothing else is due."""
-        core, state, job = args
-        callbacks = job.callbacks
-        if callbacks is not None:
+        # One kernel step (_finish) replaces job.succeed() plus a
+        # zero-delay decision entry: those two shared a time and had
+        # adjacent seqs, so they always dispatched back to back.  This
+        # is a dispatched callback that returns right after the step, so
+        # when nothing else is due now the step runs here, written out;
+        # the loop would have dispatched it next.
+        job.triggered = True
+        if not sim._due_now():
+            sim._event_count += 1
+            callbacks = job.callbacks
             job.callbacks = None
             job.processed = True
             for callback in callbacks:
                 callback(job)
+            if not jobs:
+                # The thread blocked or finished: release the core.
+                state.running_on = None
+                self._next_thread(core)
+            elif core.stint_used < self._quantum or not self._run_queue:
+                # The thread continued: _run_slice, written out.  Its
+                # time `now + (0.0 + slice_len)` is `now + slice_len`
+                # (they differ only in the sign of a zero slice, and
+                # `now + -0.0 == now + 0.0`).
+                job = jobs[0]
+                remaining = job.remaining
+                quantum = self._quantum
+                quantum_left = quantum - core.stint_used
+                if quantum_left > 0.0 and remaining > 0.0:
+                    slice_len = (quantum_left if quantum_left < remaining
+                                 else remaining)
+                else:
+                    slice_len = quantum if quantum < remaining else remaining
+                    core.stint_used = 0.0
+                sim._seq = seq = sim._seq + 1
+                heappush(sim._queue, (sim.now + slice_len, seq,
+                                      self._slice_done,
+                                      (core, state, job, slice_len)))
+            else:
+                self._preempt(core, state)
+            return
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim.now, seq, self._finish, (core, state, job)))
+
+    def _finish(self, args) -> None:
+        """Queued completion step of a job: process its event (its
+        waiters resume), then decide what the core does next.  ``_slice_done`` runs the same step in place when
+        nothing else is due."""
+        core, state, job = args
+        callbacks = job.callbacks
+        job.callbacks = None
+        job.processed = True
+        for callback in callbacks:
+            callback(job)
         if state.jobs:
             # The thread continued (issued more work in the same instant).
             if core.stint_used < self._quantum or not self._run_queue:

@@ -16,93 +16,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Metrics", "Counter", "CpuCharger", "LatencyRecorder",
-           "TimeSeries", "CpuAccounting", "SKETCH_PERCENTILES"]
-
-#: Percentiles the sketch mode tracks one P-squared estimator for — the
-#: harness's reporting set plus the 0/100 endpoints held as min/max.
-SKETCH_PERCENTILES = (50.0, 80.0, 90.0, 95.0, 99.0, 99.9)
-
-#: Sketch mode answers exactly from a small buffer until this many
-#: windowed samples have arrived (P-squared estimates are noisy early).
-_SKETCH_EXACT_UNTIL = 64
-
-
-class _P2Quantile:
-    """One streaming quantile via the P-squared algorithm
-    (Jain & Chlamtac, CACM 1985): five markers whose heights
-    approximate the q-quantile without storing samples."""
-
-    __slots__ = ("p", "_init", "_q", "_n", "_np", "_dn")
-
-    def __init__(self, p: float) -> None:
-        self.p = p  # quantile in (0, 1)
-        self._init: Optional[List[float]] = []
-
-    def add(self, x: float) -> None:
-        init = self._init
-        if init is not None:
-            init.append(x)
-            if len(init) == 5:
-                init.sort()
-                p = self.p
-                self._q = init
-                self._n = [0.0, 1.0, 2.0, 3.0, 4.0]
-                self._np = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
-                self._dn = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-                self._init = None
-            return
-        q = self._q
-        n = self._n
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x < q[1]:
-            k = 0
-        elif x < q[2]:
-            k = 1
-        elif x < q[3]:
-            k = 2
-        elif x <= q[4]:
-            k = 3
-        else:
-            q[4] = x
-            k = 3
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        np_ = self._np
-        dn = self._dn
-        for i in range(5):
-            np_[i] += dn[i]
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if ((d >= 1.0 and n[i + 1] - n[i] > 1.0)
-                    or (d <= -1.0 and n[i - 1] - n[i] < -1.0)):
-                d = 1.0 if d > 0.0 else -1.0
-                # Piecewise-parabolic prediction of the marker height;
-                # fall back to linear when it would leave the bracket.
-                qn = q[i] + d / (n[i + 1] - n[i - 1]) * (
-                    (n[i] - n[i - 1] + d) * (q[i + 1] - q[i])
-                    / (n[i + 1] - n[i])
-                    + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1])
-                    / (n[i] - n[i - 1]))
-                if not q[i - 1] < qn < q[i + 1]:
-                    j = i + (1 if d > 0.0 else -1)
-                    qn = q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-                q[i] = qn
-                n[i] += d
-
-    def value(self) -> float:
-        init = self._init
-        if init is not None:
-            # Fewer than five samples: exact from the seed buffer.
-            if not init:
-                return math.nan
-            values = sorted(init)
-            rank = self.p * (len(values) - 1)
-            low = int(rank)
-            high = min(low + 1, len(values) - 1)
-            return values[low] + (rank - low) * (values[high] - values[low])
-        return self._q[2]
+           "TimeSeries", "CpuAccounting"]
 
 
 class LatencyRecorder:
@@ -111,99 +25,44 @@ class LatencyRecorder:
     Samples recorded before ``start_at`` (the measurement-window start,
     set by the harness after warm-up) are discarded at query time.
 
-    **Exact mode** (the default) stores every sample in two flat
-    ``array('d')`` columns (times, values) — samples are columnar at
-    collection time, so the result transport can ship them as packed
-    float buffers without a per-sample conversion pass.  Simulation
-    time is monotone, so the window cut is a ``bisect`` over the time
-    column (a linear-scan fallback covers hand-built recorders that
-    append out of order).  Queries share one sorted copy of the
-    windowed values, rebuilt only when a sample lands or ``start_at``
-    moves since the last query, so ``cdf_points`` over six percentiles
-    costs one sort instead of six and ``record`` stays bare appends.
-
-    **Sketch mode** (``sketch=True``) keeps O(1) state per tracked
-    percentile (:data:`SKETCH_PERCENTILES`, via P-squared estimators)
-    plus count/sum/min/max, so long ``--full`` windows stop holding
-    millions of samples.  Reported percentiles become estimates;
-    untracked percentiles interpolate between the tracked ones (with
-    0 -> min and 100 -> max).  Moving ``start_at`` forward resets the
-    sketch, which is how the harness discards warm-up samples.
+    Every sample is stored in two flat ``array('d')`` columns (times,
+    values) — samples are columnar at collection time, so the result
+    transport can ship them as packed float buffers without a
+    per-sample conversion pass.  Simulation time is monotone, so the
+    window cut is a ``bisect`` over the time column (a linear-scan
+    fallback covers hand-built recorders that append out of order).
+    Queries share one sorted copy of the windowed values, rebuilt only
+    when a sample lands or ``start_at`` moves since the last query, so
+    ``cdf_points`` over six percentiles costs one sort instead of six
+    and ``record`` stays bare appends.
     """
 
     __slots__ = ("_times", "_values", "_last_time", "_monotone",
-                 "_start_at", "_cache", "_cache_len",
-                 "_cache_start", "_sketch", "_estimators", "_count",
-                 "_sum", "_min", "_max", "_seed", "_raw_total")
+                 "start_at", "_cache", "_cache_len", "_cache_start")
 
-    def __init__(self, sketch: bool = False) -> None:
+    def __init__(self) -> None:
         self._times = array("d")
         self._values = array("d")
         self._last_time = -math.inf
         self._monotone = True
-        self._start_at = 0.0
+        self.start_at = 0.0
         self._cache: Optional[List[float]] = None
         self._cache_len = -1
         self._cache_start = 0.0
-        self._sketch = sketch
-        self._raw_total = 0
-        if sketch:
-            self._reset_sketch()
-
-    def _reset_sketch(self) -> None:
-        self._estimators = {q: _P2Quantile(q / 100.0)
-                            for q in SKETCH_PERCENTILES}
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._seed: List[float] = []
-
-    @property
-    def is_sketch(self) -> bool:
-        return self._sketch
-
-    @property
-    def start_at(self) -> float:
-        return self._start_at
-
-    @start_at.setter
-    def start_at(self, value: float) -> None:
-        if self._sketch and value != self._start_at:
-            # The sketch cannot retroactively un-record warm-up samples;
-            # restarting the estimators has the same effect because
-            # record() drops samples before the new window start.
-            self._reset_sketch()
-        self._start_at = value
 
     def record(self, now: float, value: float) -> None:
         """Record *value* observed at simulated time *now*."""
-        self._raw_total += 1
-        if not self._sketch:
-            if now < self._last_time:
-                self._monotone = False
-            else:
-                self._last_time = now
-            self._times.append(now)
-            self._values.append(value)
-            return
-        if now < self._start_at:
-            return
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if len(self._seed) < _SKETCH_EXACT_UNTIL:
-            self._seed.append(value)
-        for estimator in self._estimators.values():
-            estimator.add(value)
+        if now < self._last_time:
+            self._monotone = False
+        else:
+            self._last_time = now
+        self._times.append(now)
+        self._values.append(value)
 
     def _window_lo(self) -> int:
         """Index of the first sample inside the measurement window."""
         if self._monotone:
-            return bisect.bisect_left(self._times, self._start_at)
+            return bisect.bisect_left(self._times, self.start_at)
         # Out-of-order appends (hand-built recorders only): no index
         # structure holds, fall back to a full scan via window_columns.
         return -1
@@ -212,9 +71,9 @@ class LatencyRecorder:
         """Sorted windowed values; cached until the inputs change."""
         n = len(self._values)
         if (self._cache is not None and self._cache_len == n
-                and self._cache_start == self._start_at):
+                and self._cache_start == self.start_at):
             return self._cache
-        start = self._start_at
+        start = self.start_at
         lo = self._window_lo()
         if lo >= 0:
             values = sorted(self._values[lo:])
@@ -228,14 +87,11 @@ class LatencyRecorder:
 
     def window_columns(self) -> Tuple[array, array]:
         """The windowed samples as flat ``array('d')`` (times, values)
-        columns in arrival order — the transport-ready view.  Sketch
-        mode stores no samples and returns empty columns."""
-        if self._sketch:
-            return array("d"), array("d")
+        columns in arrival order — the transport-ready view."""
         lo = self._window_lo()
         if lo >= 0:
             return self._times[lo:], self._values[lo:]
-        start = self._start_at
+        start = self.start_at
         times = array("d")
         values = array("d")
         for t, v in zip(self._times, self._values):
@@ -245,14 +101,12 @@ class LatencyRecorder:
         return times, values
 
     def __len__(self) -> int:
-        if self._sketch:
-            return self._count
         return len(self._window_sorted())
 
     @property
     def raw_count(self) -> int:
         """All samples ever recorded, including warm-up."""
-        return self._raw_total
+        return len(self._values)
 
     @staticmethod
     def _interpolate(values: List[float], q: float) -> float:
@@ -267,51 +121,22 @@ class LatencyRecorder:
         return values[low] + frac * (values[high] - values[low])
 
     def percentile(self, q: float) -> float:
-        """The *q*-th percentile (0..100); linear interpolation in exact
-        mode, a P-squared estimate in sketch mode."""
+        """The *q*-th percentile (0..100), by linear interpolation."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile out of range: {q}")
-        if not self._sketch:
-            values = self._window_sorted()
-            if not values:
-                return math.nan
-            return self._interpolate(values, q)
-        if self._count == 0:
+        values = self._window_sorted()
+        if not values:
             return math.nan
-        if self._count <= len(self._seed):
-            # Small window: every sample is still in the seed buffer.
-            return self._interpolate(sorted(self._seed), q)
-        estimator = self._estimators.get(q)
-        if estimator is not None:
-            value = estimator.value()
-            return min(max(value, self._min), self._max)
-        # Untracked percentile: interpolate between the tracked marks,
-        # anchored by min (q=0) and max (q=100).
-        marks = [(0.0, self._min)]
-        marks += [(mark, min(max(self._estimators[mark].value(), self._min),
-                             self._max))
-                  for mark in SKETCH_PERCENTILES]
-        marks.append((100.0, self._max))
-        for (lo_q, lo_v), (hi_q, hi_v) in zip(marks, marks[1:]):
-            if lo_q <= q <= hi_q:
-                if hi_q == lo_q:
-                    return lo_v
-                frac = (q - lo_q) / (hi_q - lo_q)
-                return lo_v + frac * (hi_v - lo_v)
-        return self._max  # pragma: no cover - marks span [0, 100]
+        return self._interpolate(values, q)
 
     def mean(self) -> float:
         """Arithmetic mean of windowed samples (NaN when empty)."""
-        if self._sketch:
-            return self._sum / self._count if self._count else math.nan
         values = self._window_sorted()
         if not values:
             return math.nan
         return sum(values) / len(values)
 
     def maximum(self) -> float:
-        if self._sketch:
-            return self._max if self._count else math.nan
         values = self._window_sorted()
         return values[-1] if values else math.nan
 
@@ -423,8 +248,8 @@ class Counter:
 
     Hot call sites obtain a handle once (:meth:`Metrics.counter`) and
     bump it with :meth:`add` — no f-string construction and no dict
-    lookup per event.  The cell *is* the counter's storage; the merged
-    :attr:`Metrics.counters` view folds handles back in by name.
+    lookup per event.  The cell *is* the counter's storage: every
+    counter of a :class:`Metrics` lives in one such handle.
     """
 
     __slots__ = ("name", "value")
@@ -564,51 +389,37 @@ class CpuAccounting:
 class Metrics:
     """Shared sink for every measurement a simulation produces."""
 
-    def __init__(self, latency_sketch: bool = False) -> None:
-        self._lazy: Dict[str, float] = defaultdict(float)
+    def __init__(self) -> None:
         self._handles: Dict[str, Counter] = {}
         self._warmup_counters: Dict[str, float] = {}
         self.latencies: Dict[str, LatencyRecorder] = {}
         self.series: Dict[str, TimeSeries] = {}
         self.cpu = CpuAccounting()
         self.window_start = 0.0
-        #: When True, new recorders use the P-squared sketch mode.
-        self.latency_sketch = latency_sketch
 
     # -- counters -------------------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        """The interned :class:`Counter` handle for *name*.
-
-        Any value accumulated through :meth:`add` before the handle was
-        created migrates into the handle, so interning never loses or
-        duplicates counts.
-        """
+        """The interned :class:`Counter` handle for *name*."""
         handle = self._handles.get(name)
         if handle is None:
-            handle = Counter(name, self._lazy.pop(name, 0.0))
+            handle = Counter(name)
             self._handles[name] = handle
         return handle
 
     def add(self, name: str, amount: float = 1.0) -> None:
-        handle = self._handles.get(name)
-        if handle is not None:
-            handle.value += amount
-        else:
-            self._lazy[name] += amount
+        """Bump counter *name*, interning it on first use."""
+        self.counter(name).value += amount
 
     @property
     def counters(self) -> Dict[str, float]:
-        """Merged name → value view over lazy counters and handles.
+        """name → value view over every counter.
 
-        Handle names appear as soon as :meth:`counter` interns them
-        (at 0.0 before the first bump), lazy names on first
-        :meth:`add`.  Read-only: a fresh dict per access.
+        A name appears when it is first interned (:meth:`counter`, at
+        0.0 before the first bump) or counted (:meth:`add`).
+        Read-only: a fresh dict per access.
         """
-        view = dict(self._lazy)
-        for name, handle in self._handles.items():
-            view[name] = handle.value
-        return view
+        return {name: handle.value for name, handle in self._handles.items()}
 
     def count(self, name: str) -> float:
         """Counter value within the measurement window."""
@@ -616,16 +427,14 @@ class Metrics:
 
     def raw_count(self, name: str) -> float:
         handle = self._handles.get(name)
-        if handle is not None:
-            return handle.value
-        return self._lazy.get(name, 0.0)
+        return handle.value if handle is not None else 0.0
 
     # -- latencies / series ----------------------------------------------
 
     def latency(self, name: str) -> LatencyRecorder:
         recorder = self.latencies.get(name)
         if recorder is None:
-            recorder = LatencyRecorder(sketch=self.latency_sketch)
+            recorder = LatencyRecorder()
             recorder.start_at = self.window_start
             self.latencies[name] = recorder
         return recorder

@@ -54,11 +54,6 @@ class SimThread:
         """Shorthand for ``cpu.execute(self, amount, category)``."""
         return self.cpu.execute(self, amount, category)
 
-    def execute_then(self, amount: float, category: str = "app",
-                     fn=None, arg=None) -> None:
-        """Shorthand for ``cpu.execute_then`` — charge with no Event."""
-        self.cpu.execute_then(self, amount, category, fn, arg)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimThread {self.name}>"
 

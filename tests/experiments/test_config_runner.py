@@ -1,10 +1,12 @@
 """Tests for experiment configs and the runner."""
 
+import dataclasses
 import gc
 import math
 
 import pytest
 
+from repro.experiments import figures
 from repro.experiments.config import (DATASTORE_KINDS, SERVER_KINDS,
                                       ExperimentConfig)
 from repro.experiments.runner import PERCENTILES, build_params, run_experiment
@@ -144,14 +146,20 @@ class TestRunExperiment:
         assert gated.selects_per_sec > 0
         assert gated.throughput == kept.throughput
 
-    def test_latency_sketch_close_to_exact(self):
-        """Sketch-mode percentiles track the exact ones within a few
-        percent on a real run; throughput is untouched."""
-        kw = dict(concurrency=20, warmup=0.2, duration=1.0)
-        exact = run_experiment(ExperimentConfig(**kw))
-        sketch = run_experiment(ExperimentConfig(latency_sketch=True, **kw))
-        assert sketch.throughput == exact.throughput
-        assert sketch.completed == exact.completed
-        for q in (50.0, 90.0, 99.0):
-            assert sketch.percentiles[q] == pytest.approx(
-                exact.percentiles[q], rel=0.1)
+    def test_full_tail_point_percentiles_are_exact(self):
+        """A full-mode fig15 point reports the exact percentiles of its
+        windowed samples: non-decreasing in q, and equal to the linear
+        interpolation over the shipped ``latency_values``."""
+        label, config = figures._fig15_points(False, 42)[0]
+        result = run_experiment(dataclasses.replace(
+            config, keep_latency_samples=True))
+        values = sorted(result.latency_values)
+        assert len(values) > 1000
+        reported = [result.percentiles[q] for q in PERCENTILES]
+        assert reported == sorted(reported), label
+        for q in PERCENTILES:
+            rank = q / 100.0 * (len(values) - 1)
+            low = int(rank)
+            high = min(low + 1, len(values) - 1)
+            want = values[low] + (rank - low) * (values[high] - values[low])
+            assert result.percentiles[q] == want, f"{label} p{q}"

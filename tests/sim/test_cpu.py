@@ -56,8 +56,6 @@ class TestBasicExecution:
         t = SimThread(cpu)
         with pytest.raises(ValueError, match="negative work"):
             cpu.execute(t, math.nan)
-        with pytest.raises(ValueError, match="negative work"):
-            cpu.execute_then(t, math.nan, "app")
         sim.run()
         assert sim.now == 0.0
         assert m.cpu.busy_by_category["app"] == 0.0
@@ -293,7 +291,7 @@ def test_slice_length_matches_min_max_rule(remaining, quantum, stint_used):
     cpu = Cpu(sim, metrics, CostParams().with_overrides(quantum=quantum),
               cores=1)
     state = _ThreadState(SimThread(cpu))
-    job = _Job(sim, remaining, metrics.cpu.charger("app"), [])
+    job = _Job(sim, remaining, metrics.cpu.charger("app"))
     state.jobs.append(job)
     core = cpu.cores[0]
     core.stint_used = stint_used

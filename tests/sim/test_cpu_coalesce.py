@@ -23,8 +23,7 @@ from repro.sim.threads import SimThread
 Q = CostParams().quantum
 
 
-def run_workload(script, cores=2, probe_times=(),
-                 window_at=None, use_execute_then=False):
+def run_workload(script, cores=2, probe_times=(), window_at=None):
     """Run *script* and capture every scheduler observable.
 
     *script* is one ``(start_delay, [(amount, category), ...])`` tuple
@@ -44,17 +43,7 @@ def run_workload(script, cores=2, probe_times=(),
         if start_delay:
             yield sim.timeout(start_delay)
         for jid, (amount, category) in enumerate(jobs):
-            if use_execute_then:
-                # Bridge the callback back to an awaitable event: the
-                # callback fires at the same instant execute()'s event
-                # would succeed, so submission times stay identical.
-                from repro.sim.kernel import Event
-                done = Event(sim)
-                cpu.execute_then(thread, amount, category,
-                                 lambda _: done.succeed(), None)
-                yield done
-            else:
-                yield cpu.execute(thread, amount, category)
+            yield cpu.execute(thread, amount, category)
             completions.append((tid, jid, sim.now))
 
     for tid, (start_delay, jobs) in enumerate(script):
@@ -174,30 +163,6 @@ class TestMidStintObservation:
             [(0.0, [(10 * Q, "app"), (4 * Q, "app")])], cores=1,
             window_at=6.5 * Q)
         assert result["windowed"]["app"] < result["busy"]["app"]
-
-
-class TestExecuteThen:
-    def test_callback_fires_at_slice_schedule_instant(self):
-        # The same digest as test_single_long_job's execute() run.
-        assert_pinned(
-            "77619dc86698e598e56a30c5250a7afb62f67b5e2486547fa90c1b3a5dbe9ed0",
-            [(0.0, [(8 * Q, "app")])], cores=1, use_execute_then=True)
-
-    def test_execute_then_matches_execute_accounting(self):
-        script = [(0.0, [(6 * Q, "app"), (3 * Q, "io")]),
-                  (1.1 * Q, [(5 * Q, "app")])]
-        via_event = run_workload(script, cores=1)
-        via_callback = run_workload(script, cores=1,
-                                    use_execute_then=True)
-        assert via_callback == via_event
-
-    def test_pure_charge_without_callback(self):
-        sim = Simulator()
-        metrics = Metrics()
-        cpu = Cpu(sim, metrics, CostParams(), cores=1)
-        cpu.execute_then(SimThread(cpu), 3 * Q, "app")
-        sim.run()
-        assert metrics.cpu.busy_by_category["app"] == 3 * Q
 
 
 class TestZeroFastPath:

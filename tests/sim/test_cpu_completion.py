@@ -1,7 +1,7 @@
 """One kernel step per ``execute`` completion, inline or queued.
 
-When an ``execute`` job finishes, :meth:`Cpu._complete` runs a single
-step — the done event's callbacks, then the core's decision.  The step
+When an ``execute`` job finishes, :meth:`Cpu._slice_done` runs a
+single step — the done event's callbacks, then the core's decision.  The step
 runs inline when ``Simulator._due_now()`` says nothing else is due at
 this instant, and is queued at ``(now, seq)`` otherwise.  Both branches
 must give the same simulation: every run here is repeated with
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.sim.cpu import Cpu
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.params import CostParams
 from repro.sim.threads import SimThread
@@ -27,10 +27,9 @@ def run_script(script, cores, pokes=(), always_busy=False):
     """Run *script*; return its observables and a tally of completion
     branches.
 
-    *script* has one ``(start_delay, [(amount, category, gap, then)])``
-    tuple per thread: *gap* > 0 blocks the thread for that long after
-    the job, and *then* submits the job through ``execute_then``.  At
-    each instant in *pokes* a callback schedules one more same-instant
+    *script* has one ``(start_delay, [(amount, category, gap)])`` tuple
+    per thread: *gap* > 0 blocks the thread for that long after the
+    job.  At each instant in *pokes* a callback schedules one more same-instant
     entry, which a completion at that instant then finds due.
     """
     tally = {"inline": 0, "queued": 0}
@@ -57,14 +56,8 @@ def _run(script, cores, pokes):
         if start_delay:
             yield sim.timeout(start_delay)
         log.append((sim.now, tid, "start"))
-        for jid, (amount, category, gap, then) in enumerate(jobs):
-            if then:
-                done = Event(sim)
-                cpu.execute_then(thread, amount, category,
-                                 lambda _: done.succeed(), None)
-                yield done
-            else:
-                yield cpu.execute(thread, amount, category)
+        for jid, (amount, category, gap) in enumerate(jobs):
+            yield cpu.execute(thread, amount, category)
             log.append((sim.now, tid, f"job{jid}"))
             if gap:
                 yield sim.timeout(gap)
@@ -104,8 +97,7 @@ def random_script(rng, threads):
             else:
                 amount = rng.choice([1.0, 1.5, 2.0, 3.25, 5.0, 8.0]) * Q
             gap = rng.choice([0.0, 0.0, 0.5 * Q, 2.0 * Q])
-            jobs.append((amount, rng.choice(["app", "io"]), gap,
-                         rng.random() < 0.2))
+            jobs.append((amount, rng.choice(["app", "io"]), gap))
         script.append((rng.choice([0.0, 0.25 * Q, 1.0 * Q, 2.5 * Q]), jobs))
     return script
 
@@ -122,9 +114,9 @@ def assert_branches_agree(script, cores, pokes=()):
 
 class TestScripted:
     def test_lone_thread_runs_every_completion_inline(self):
-        script = [(0.0, [(0.5 * Q, "app", 0.0, False),
-                         (3.0 * Q, "app", Q, False),
-                         (0.0, "io", 0.0, False)])]
+        script = [(0.0, [(0.5 * Q, "app", 0.0),
+                         (3.0 * Q, "app", Q),
+                         (0.0, "io", 0.0)])]
         result, tally = assert_branches_agree(script, cores=1)
         assert tally == {"inline": 2, "queued": 0}
         assert [entry[2] for entry in result["log"]] == [
@@ -134,13 +126,13 @@ class TestScripted:
         """Two cores finishing identical jobs at one instant: the first
         completion finds the second's stint end due, and the second
         finds the first's queued step due."""
-        job = [(2.0 * Q, "app", 0.0, False)]
+        job = [(2.0 * Q, "app", 0.0)]
         _, tally = assert_branches_agree([(0.0, job), (0.0, job)],
                                          cores=2)
         assert tally == {"inline": 0, "queued": 2}
 
     def test_poke_on_completion_instant_forces_queueing(self):
-        script = [(0.0, [(0.5 * Q, "app", 0.0, False)])]
+        script = [(0.0, [(0.5 * Q, "app", 0.0)])]
         pilot, _ = run_script(script, cores=1)
         instant = pilot["log"][-1][0]
         result, tally = assert_branches_agree(script, cores=1,

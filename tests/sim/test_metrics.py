@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.metrics import (SKETCH_PERCENTILES, CpuAccounting,
-                               LatencyRecorder, Metrics, TimeSeries)
+from repro.sim.metrics import (CpuAccounting, LatencyRecorder, Metrics,
+                               TimeSeries)
 
 
 class TestLatencyRecorder:
@@ -113,13 +113,6 @@ class TestColumnarBuffers:
         times, values = LatencyRecorder().window_columns()
         assert len(times) == 0 and len(values) == 0
 
-    def test_window_columns_sketch_stores_nothing(self):
-        r = LatencyRecorder(sketch=True)
-        for i in range(100):
-            r.record(float(i), 1.0)
-        times, values = r.window_columns()
-        assert len(times) == 0 and len(values) == 0
-
     def test_non_monotone_record_falls_back_to_scan(self):
         """Hand-built recorders may append out of time order; the
         bisect window cut only holds for monotone times, so the
@@ -138,22 +131,6 @@ class TestColumnarBuffers:
         times, values = r.window_columns()
         assert list(zip(times, values)) == [(3.0, 30.0), (4.0, 40.0),
                                             (2.0, 20.0)]
-
-    def test_cdf_points_sketch_close_to_exact(self):
-        """Sketch-mode cdf_points tracks the exact recorder's curve
-        within tolerance (the quick-exhibit memory-bound path)."""
-        rng = random.Random(3)
-        values = [rng.lognormvariate(0.0, 1.0) for _ in range(20000)]
-        exact = LatencyRecorder()
-        sketch = LatencyRecorder(sketch=True)
-        for i, v in enumerate(values):
-            exact.record(float(i), v)
-            sketch.record(float(i), v)
-        for (q, want), (q2, got) in zip(exact.cdf_points(SKETCH_PERCENTILES),
-                                        sketch.cdf_points(SKETCH_PERCENTILES)):
-            assert q == q2
-            tol = 0.15 if q >= 99.9 else 0.05
-            assert got == pytest.approx(want, rel=tol), f"p{q}"
 
 
 class TestTimeSeries:
@@ -309,108 +286,3 @@ def test_cpu_shares_sum_to_one(charges):
     if cpu.total_busy() > 0:
         total = sum(cpu.category_share(c) for c in ("a", "b", "c"))
         assert total == pytest.approx(1.0)
-
-
-class TestLatencySketch:
-    """P-squared sketch mode: bounded memory, estimates within
-    tolerance of the exact recorder."""
-
-    @staticmethod
-    def _pair(values):
-        exact = LatencyRecorder()
-        sketch = LatencyRecorder(sketch=True)
-        for i, v in enumerate(values):
-            exact.record(float(i), v)
-            sketch.record(float(i), v)
-        return exact, sketch
-
-    @staticmethod
-    def _heavy_tail(n, seed=7):
-        rng = random.Random(seed)
-        return [rng.lognormvariate(0.0, 1.0) for _ in range(n)]
-
-    def test_empty_is_nan(self):
-        r = LatencyRecorder(sketch=True)
-        assert math.isnan(r.percentile(99.0))
-        assert math.isnan(r.mean())
-        assert math.isnan(r.maximum())
-        assert len(r) == 0
-
-    def test_small_window_is_exact(self):
-        """Below the seed-buffer size every query is answered exactly."""
-        values = self._heavy_tail(50)
-        exact, sketch = self._pair(values)
-        for q in (0.0, 12.5, 50.0, 90.0, 99.9, 100.0):
-            assert sketch.percentile(q) == pytest.approx(
-                exact.percentile(q))
-
-    def test_tracked_percentiles_within_tolerance(self):
-        """20k heavy-tailed samples: every tracked percentile agrees
-        with the exact recorder within a few percent."""
-        values = self._heavy_tail(20000)
-        exact, sketch = self._pair(values)
-        for q in SKETCH_PERCENTILES:
-            want = exact.percentile(q)
-            got = sketch.percentile(q)
-            tol = 0.15 if q >= 99.9 else 0.05
-            assert got == pytest.approx(want, rel=tol), f"p{q}"
-
-    def test_untracked_percentile_interpolates(self):
-        values = self._heavy_tail(20000)
-        exact, sketch = self._pair(values)
-        # Untracked percentiles interpolate between tracked marks:
-        # looser tolerance, but monotone and inside [min, max].
-        qs = [0.0, 25.0, 60.0, 85.0, 97.0, 99.5, 100.0]
-        ps = [sketch.percentile(q) for q in qs]
-        assert ps == sorted(ps)
-        assert ps[0] == pytest.approx(min(values))
-        assert ps[-1] == pytest.approx(max(values))
-        assert sketch.percentile(85.0) == pytest.approx(
-            exact.percentile(85.0), rel=0.2)
-
-    def test_mean_max_count_match_exact(self):
-        values = self._heavy_tail(5000)
-        exact, sketch = self._pair(values)
-        assert len(sketch) == len(exact)
-        assert sketch.mean() == pytest.approx(exact.mean())
-        assert sketch.maximum() == exact.maximum()
-
-    def test_stores_no_samples(self):
-        _, sketch = self._pair(self._heavy_tail(5000))
-        assert len(sketch._times) == 0
-        assert len(sketch._values) == 0
-        assert sketch.is_sketch
-
-    def test_window_move_resets_sketch(self):
-        """Moving start_at forward (the harness's warm-up cut) restarts
-        the sketch; warm-up samples stop influencing estimates."""
-        r = LatencyRecorder(sketch=True)
-        for i in range(100):
-            r.record(float(i), 1000.0)     # warm-up junk
-        r.start_at = 100.0
-        assert len(r) == 0
-        for i in range(100, 200):
-            r.record(float(i), 1.0)
-        assert r.maximum() == 1.0
-        assert r.percentile(50.0) == pytest.approx(1.0)
-        assert r.raw_count == 200
-
-    def test_record_before_window_ignored(self):
-        r = LatencyRecorder(sketch=True)
-        r.start_at = 10.0
-        r.record(5.0, 99.0)
-        assert len(r) == 0
-        r.record(10.0, 2.0)
-        assert len(r) == 1
-
-    def test_metrics_flag_propagates(self):
-        m = Metrics(latency_sketch=True)
-        assert m.latency("rt").is_sketch
-        assert not Metrics().latency("rt").is_sketch
-
-    def test_cdf_points_sketch(self):
-        _, sketch = self._pair(self._heavy_tail(2000))
-        points = sketch.cdf_points(SKETCH_PERCENTILES)
-        assert [q for q, _v in points] == list(SKETCH_PERCENTILES)
-        vs = [v for _q, v in points]
-        assert vs == sorted(vs)

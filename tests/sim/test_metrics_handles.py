@@ -1,11 +1,11 @@
-"""Interned counter / charger handles versus the lazy string paths.
+"""Interned counter / charger handles versus the by-name paths.
 
 The scheduler hot path records through bound handles
 (``Metrics.counter(name)`` / ``CpuAccounting.charger(category)``)
 while cold paths keep calling ``metrics.add(name)`` — these tests pin
-that both routes land in one coherent view, that interning migrates
-(never loses or duplicates) earlier lazy counts, and that the ordering
-the report layer leans on survives the handle layer.
+that both routes land in the same handle (never losing or duplicating
+a count), and that the ordering the report layer leans on survives the
+handle layer.
 """
 
 import pytest
@@ -23,7 +23,7 @@ class TestCounterHandles:
         metrics.add("x", 3.0)
         handle = metrics.counter("x")
         assert handle.value == 3.0
-        # The lazy slot is gone: no double counting in the merged view.
+        # One store: no double counting in the view.
         assert metrics.counters == {"x": 3.0}
 
     def test_add_routes_to_existing_handle(self):
