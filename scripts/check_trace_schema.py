@@ -7,12 +7,12 @@ Usage::
 
 Thin CLI shim over :mod:`repro.trace.schema`, which holds the actual
 validators (Chrome ``trace_event`` JSON from ``--trace-out``,
-collapsed-stack / speedscope flame output from ``--flame-out``, and
-the ``--prom-out`` Prometheus snapshot).  The format is sniffed from
-the file content.  Exits 0 when every file is valid, 1 with a one-line
+collapsed-stack flame text from ``--flame-out``, and the
+``--prom-out`` Prometheus snapshot).  The format is sniffed from the
+file content.  Exits 0 when every file is valid, 1 with a one-line
 message on the first violation — CI runs it against freshly exported
 artifacts so schema drift fails the build rather than silently
-producing files Perfetto or speedscope reject.
+producing files Perfetto or a flame viewer reject.
 """
 
 import sys

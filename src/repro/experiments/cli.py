@@ -61,10 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flame-out", metavar="PATH", default=None,
         help="with --trace: write the cross-request flame aggregation "
-             "to PATH — speedscope JSON when PATH ends in .json "
-             "(open at https://speedscope.app), flamegraph.pl "
-             "collapsed-stack text otherwise.  Parent directories are "
-             "created.")
+             "to PATH as flamegraph.pl collapsed-stack text, whatever "
+             "its extension (flamegraph.pl, inferno and web flame "
+             "viewers open it).  Parent directories are created.")
     parser.add_argument(
         "--obs", action="store_true",
         help="run every experiment point with phase-annotated live "
@@ -169,8 +168,8 @@ def _write_flame_out(path: str, results) -> None:
         for label, flame in result.data.get("flames", {}).items():
             if flame is not None:
                 flames[f"{name}/{label}"] = flame
-    kind = write_flame(path, flames)
-    print(f"[flame ({kind}) written to {path}: {len(flames)} runs]")
+    write_flame(path, flames)
+    print(f"[flame (collapsed) written to {path}: {len(flames)} runs]")
 
 
 def _write_prom_out(path: str, results) -> None:

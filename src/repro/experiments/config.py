@@ -170,8 +170,8 @@ class ExperimentResult:
     """Everything one run measured (paper-table vocabulary).
 
     Bulk measurements (thread samples, optional raw latency samples)
-    are stored as flat ``array('d')`` columns so the parallel runner's
-    result codec can ship them as packed float buffers; the
+    are stored as flat ``array('d')`` columns, which pickle as raw
+    float bytes when the parallel runner ships a result; the
     ``thread_samples`` / ``latency_samples`` properties materialise the
     classic list-of-(time, value)-tuples view on demand, so exhibit and
     report code consumes results unchanged.

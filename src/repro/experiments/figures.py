@@ -530,7 +530,7 @@ def _tail_render(exhibit: str, title: str, pairs: Pairs,
     summary = render_table(
         f"{title}: summary", ["server", "tput [req/s]", "p99 [ms]",
                               "CPU [%]"],
-        [[label, round(r.throughput), round(1e3 * r.percentiles[99.0], 1),
+        [[label, round(r.throughput), 1e3 * r.percentiles[99.0],
           round(100 * r.cpu_utilization)] for label, r in results.items()])
     return ExhibitResult(
         exhibit, title, text + "\n\n" + summary,

@@ -24,12 +24,12 @@ Design notes:
   expensive corner (conc=256, long windows) starts immediately instead
   of landing on an almost-drained pool; every completion carries its
   submission position, so callers never see the shuffle.
-- **one result transport.**  Each worker flattens its result into a
-  small pickled header plus packed float columns
-  (:mod:`repro.experiments.transport`) and returns both through the
-  pool's result pipe; the parent rebuilds the exact result from them.
+- **one result format.**  Each worker pickles its whole result and
+  returns it through the pool's result pipe; the parent unpickles it,
+  so a pooled result is the serial one exactly, ints and all
+  (:mod:`repro.experiments.transport`).
 - **serial fallback.**  ``jobs=1`` (or a single config) never touches
-  multiprocessing — or the codec — at all: the configs run in-process
+  multiprocessing — or pickling — at all: the configs run in-process
   through :func:`run_experiment`, keeping tests and debugging simple.
   ``jobs=1`` is the identity path pooled runs are tested against.
 
@@ -40,14 +40,15 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import queue
 from contextlib import closing
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .config import ExperimentConfig, ExperimentResult
 from .runner import run_experiment
-from .transport import decode_result, encode_result
+# Looked up here at call time, so a wrapper patched onto
+# ``parallel._decode_payload`` sees every pooled result.
+from .transport import decode_payload as _decode_payload, run_pickled
 
 __all__ = ["run_experiments", "iter_experiments", "resolve_jobs",
            "BatchExecutor"]
@@ -81,21 +82,6 @@ def _cost_order(configs: Sequence[ExperimentConfig]) -> List[int]:
     order, keeping the dispatch deterministic)."""
     return sorted(range(len(configs)),
                   key=lambda i: (-_config_cost(configs[i]), i))
-
-
-def _run_columnar(config: ExperimentConfig) -> Tuple[bytes, None, bytes]:
-    """Worker entry point: run the point and flatten the result.
-    Returns ``(header_bytes, None, column_bytes)``."""
-    header, columns = encode_result(run_experiment(config))
-    header_bytes = pickle.dumps(header, pickle.HIGHEST_PROTOCOL)
-    return header_bytes, None, columns.tobytes()
-
-
-# perfbench's decode_hook wraps this: 2 positional args, (header, None, inline)
-def _decode_payload(payload, _unused) -> ExperimentResult:
-    """Parent side: rebuild one result from a worker's payload."""
-    header_bytes, _ticket, inline = payload
-    return decode_result(pickle.loads(header_bytes), inline)
 
 
 #: What a run yields per point: its submission position, and its result
@@ -146,8 +132,8 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     produce identical results for identical configs: each point is an
     isolated deterministic simulation keyed only by its own config
     (which carries the seed), parallel results are merged back by
-    submission position, and the columnar codec is an exact
-    float-for-float identity.  The first point to fail raises its
+    submission position, and each result crosses the pipe as a pickle
+    of the whole object.  The first point to fail raises its
     exception.
     """
     configs = list(configs)
@@ -177,14 +163,13 @@ class BatchExecutor:
         raised).
 
         Points enter the queue heaviest-first (see :func:`_config_cost`)
-        and come back as columnar payloads, each decoded as soon as it
-        lands.
+        and come back pickled, each unpickled as soon as it lands.
         """
         configs = list(configs)
         done = queue.SimpleQueue()  # (position, payload, ok)
         for position in _cost_order(configs):
             self._pool.apply_async(
-                _run_columnar, (configs[position],),
+                run_pickled, (configs[position],),
                 callback=lambda payload, p=position: done.put(
                     (p, payload, True)),
                 error_callback=lambda exc, p=position: done.put(

@@ -6,8 +6,8 @@ package watches the *system* over simulated time:
 - :mod:`repro.obs.timeline` — a :class:`TelemetryTicker` on the
   simulation clock samples gauges (per-shard queue depths, hedge and
   retry rates, replica routing state, CPU run-queue depth) into one
-  columnar :class:`~repro.sim.metrics.GaugeBoard` that rides the
-  pooled result transport;
+  columnar :class:`~repro.sim.metrics.GaugeBoard` that rides on the
+  result;
 - :mod:`repro.obs.prometheus` — renders a finished run's end state
   (latency quantiles, counters, last gauge values, workload phases)
   in the Prometheus text exposition format.

@@ -3,8 +3,8 @@
 A :class:`TelemetryTicker` fires every ``period`` simulated seconds
 (via :meth:`Simulator.call_every`) and samples live gauges into one
 :class:`~repro.sim.metrics.GaugeBoard` — a shared time column plus one
-``array('d')`` value column per gauge, ready for the columnar result
-transport.
+``array('d')`` value column per gauge, which a pooled run pickles as
+raw float bytes.
 
 Determinism contract (the same one :mod:`repro.trace` keeps):
 

@@ -26,9 +26,9 @@ class LatencyRecorder:
     set by the harness after warm-up) are discarded at query time.
 
     Every sample is stored in two flat ``array('d')`` columns (times,
-    values) — samples are columnar at collection time, so the result
-    transport can ship them as packed float buffers without a
-    per-sample conversion pass.  Simulation time is monotone, so the
+    values) — samples are columnar at collection time, so a pooled
+    result pickles them as raw float bytes without a per-sample
+    conversion pass.  Simulation time is monotone, so the
     window cut is a ``bisect`` over the time column (a linear-scan
     fallback covers hand-built recorders that append out of order).
     Queries share one sorted copy of the windowed values, rebuilt only
@@ -87,7 +87,7 @@ class LatencyRecorder:
 
     def window_columns(self) -> Tuple[array, array]:
         """The windowed samples as flat ``array('d')`` (times, values)
-        columns in arrival order — the transport-ready view."""
+        columns in arrival order — the view the result carries."""
         lo = self._window_lo()
         if lo >= 0:
             return self._times[lo:], self._values[lo:]
@@ -150,7 +150,7 @@ class TimeSeries:
 
     Backed by two flat ``array('d')`` columns so a window is a pair of
     ``bisect`` cuts plus buffer slices — :meth:`columns` hands the raw
-    slices to the result transport with no per-sample conversion.
+    slices to the result with no per-sample conversion.
     """
 
     __slots__ = ("_times", "_values")
@@ -201,7 +201,7 @@ class GaugeBoard:
     column, the telemetry ticker samples tens of gauges at every tick —
     a shared time column plus one ``array('d')`` value column per gauge
     keeps that O(gauges) floats per tick with no per-sample boxing, and
-    the columns ride the pooled result transport as-is.
+    the columns ride on the result as-is.
     """
 
     __slots__ = ("names", "_times", "_columns")

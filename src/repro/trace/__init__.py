@@ -15,18 +15,17 @@ behavioural changes (golden results stay byte-identical).
 
 :mod:`repro.trace.critical_path` attributes each traced request's
 end-to-end latency into exact, additive categories;
-:mod:`repro.trace.export` renders Chrome ``trace_event`` JSON and the
-compact columnar summary that rides the pooled result transport.
+:mod:`repro.trace.export` builds the run summary that rides on the
+result and renders Chrome ``trace_event`` JSON; :mod:`repro.trace.flame`
+folds every sampled request into collapsed-stack flames.
 """
 
 from .critical_path import (CATEGORIES, additivity_residual, attribute)
-from .export import (build_summary, chrome_trace, summary_columns,
-                     summary_from_columns, write_chrome_trace)
+from .export import build_summary, chrome_trace, write_chrome_trace
 from .flame import (FRAME_NAMES, F_SUBQUERY, FlameAccumulator, build_flame,
-                    collapsed_stacks, flame_columns, flame_from_columns,
-                    merge_flames, speedscope_doc, write_flame)
+                    collapsed_stacks, merge_flames, write_flame)
 from .schema import (SchemaError, check_chrome_trace, check_collapsed,
-                     check_path, check_prometheus, check_speedscope)
+                     check_path, check_prometheus)
 from .spans import (FLAG_DROPPED, FLAG_SYNTHESIZED, KIND_NAMES, K_ASSEMBLE,
                     K_FAILED, K_HANDOFF, K_HEDGE, K_INBOX_WAIT,
                     K_NET_REQUEST, K_NET_RESPONSE, K_PARSE, K_PROCESS,
@@ -41,10 +40,8 @@ __all__ = [
     "K_FAILED", "FLAG_DROPPED", "FLAG_SYNTHESIZED",
     "CATEGORIES", "attribute", "additivity_residual",
     "build_summary", "chrome_trace", "write_chrome_trace",
-    "summary_columns", "summary_from_columns",
     "FlameAccumulator", "FRAME_NAMES", "F_SUBQUERY", "build_flame",
-    "merge_flames", "collapsed_stacks", "speedscope_doc",
-    "flame_columns", "flame_from_columns", "write_flame",
+    "merge_flames", "collapsed_stacks", "write_flame",
     "SchemaError", "check_chrome_trace", "check_collapsed",
-    "check_speedscope", "check_prometheus", "check_path",
+    "check_prometheus", "check_path",
 ]

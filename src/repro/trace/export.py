@@ -1,13 +1,10 @@
-"""Trace exporters: columnar summary + Chrome ``trace_event`` JSON.
+"""Trace exporters: the run summary + Chrome ``trace_event`` JSON.
 
 :func:`build_summary` folds a finished :class:`Tracer` into a plain
 JSON-able dict (per-class counts, additive category sums, and the
 slowest exemplar traces with their full span lists).  The summary is
-what rides on :class:`ExperimentResult` and therefore must survive the
-pooled result transport float-for-float:
-:func:`summary_columns` splits it into a small structure header plus
-one flat float column, and :func:`summary_from_columns` is its exact
-inverse (``decode(encode(s)) == s``).
+what rides on :class:`ExperimentResult`; a pooled run pickles it with
+the rest of the result, so it reaches the parent unchanged.
 
 :func:`chrome_trace` renders exemplar span trees as Chrome
 ``trace_event`` JSON (the ``{"traceEvents": [...]}`` object format,
@@ -19,22 +16,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .critical_path import CATEGORIES
 from .spans import Tracer
 
-__all__ = ["build_summary", "summary_columns", "summary_from_columns",
-           "chrome_trace", "write_chrome_trace"]
-
-#: Scalar fields of one exemplar, in column order (breakdown and spans
-#: follow them).
-_EXEMPLAR_SCALARS = ("rt", "start", "request_id", "crit_seq",
-                     "crit_attempt", "crit_shard", "crit_replica",
-                     "attempts")
-
-#: Floats per span record.
-_SPAN_WIDTH = 9
+__all__ = ["build_summary", "chrome_trace", "write_chrome_trace"]
 
 
 def build_summary(tracer: Tracer) -> Dict[str, Any]:
@@ -66,86 +53,6 @@ def build_summary(tracer: Tracer) -> Dict[str, Any]:
         "sample_rate": tracer.sample_rate,
         "sampled": tracer.sampled,
         "kinds": [kind.name for kind in tracer.kinds],
-        "categories": list(CATEGORIES),
-        "classes": classes,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Columnar transport form
-# ---------------------------------------------------------------------------
-
-def summary_columns(summary: Dict[str, Any]
-                    ) -> Tuple[Dict[str, Any], List[float]]:
-    """Split a summary into ``(structure, floats)``.
-
-    *structure* holds everything non-numeric (names, shapes) and is
-    small/O(classes); *floats* is one flat column that rides the
-    result transport's packed float buffer.
-    """
-    structure = {
-        "sample_rate": summary["sample_rate"],
-        "sampled": summary["sampled"],
-        "kinds": list(summary["kinds"]),
-        "classes": [
-            (klass,
-             [len(exemplar["spans"])
-              for exemplar in entry["exemplars"]])
-            for klass, entry in summary["classes"].items()
-        ],
-    }
-    floats: List[float] = []
-    for _klass, entry in summary["classes"].items():
-        floats.append(entry["count"])
-        floats.append(entry["rt_sum"])
-        breakdown = entry["breakdown"]
-        for category in CATEGORIES:
-            floats.append(breakdown[category])
-        for exemplar in entry["exemplars"]:
-            for name in _EXEMPLAR_SCALARS:
-                floats.append(exemplar[name])
-            ex_breakdown = exemplar["breakdown"]
-            for category in CATEGORIES:
-                floats.append(ex_breakdown[category])
-            for span in exemplar["spans"]:
-                floats.extend(span)
-    return structure, floats
-
-
-def summary_from_columns(structure: Dict[str, Any],
-                         floats: List[float]) -> Dict[str, Any]:
-    """Exact inverse of :func:`summary_columns`."""
-    classes: Dict[str, Any] = {}
-    pos = 0
-    for klass, span_counts in structure["classes"]:
-        count = floats[pos]
-        rt_sum = floats[pos + 1]
-        pos += 2
-        breakdown = {category: floats[pos + i]
-                     for i, category in enumerate(CATEGORIES)}
-        pos += len(CATEGORIES)
-        exemplars = []
-        for n_spans in span_counts:
-            exemplar: Dict[str, Any] = {}
-            for name in _EXEMPLAR_SCALARS:
-                exemplar[name] = floats[pos]
-                pos += 1
-            exemplar["breakdown"] = {
-                category: floats[pos + i]
-                for i, category in enumerate(CATEGORIES)}
-            pos += len(CATEGORIES)
-            spans = []
-            for _ in range(n_spans):
-                spans.append(list(floats[pos:pos + _SPAN_WIDTH]))
-                pos += _SPAN_WIDTH
-            exemplar["spans"] = spans
-            exemplars.append(exemplar)
-        classes[klass] = {"count": count, "rt_sum": rt_sum,
-                          "breakdown": breakdown, "exemplars": exemplars}
-    return {
-        "sample_rate": structure["sample_rate"],
-        "sampled": structure["sampled"],
-        "kinds": list(structure["kinds"]),
         "categories": list(CATEGORIES),
         "classes": classes,
     }

@@ -33,23 +33,21 @@ Everything is a pure function of the seed: the fold visits traces in
 finish order and spans in record order, both deterministic, so the
 float sums are bit-identical across ``--jobs`` settings.
 
-Exporters: :func:`collapsed_stacks` (flamegraph.pl collapsed-stack
-text), :func:`speedscope_doc` (speedscope JSON), and the
-:func:`flame_columns` / :func:`flame_from_columns` codec that rides
-the pooled result transport.
+One exporter: :func:`collapsed_stacks`, flamegraph.pl collapsed-stack
+text, which flamegraph.pl, inferno and the common web flame viewers
+all open.  A pooled run pickles the flame summary with the rest of its
+result, so it reaches the parent unchanged.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from .spans import (KIND_NAMES, K_FAILED, K_HEDGE, K_RETRY, K_ROOT, Trace)
 
 __all__ = ["FlameAccumulator", "FRAME_NAMES", "F_SUBQUERY", "build_flame",
-           "merge_flames", "collapsed_stacks", "speedscope_doc",
-           "flame_columns", "flame_from_columns", "write_flame"]
+           "merge_flames", "collapsed_stacks", "write_flame"]
 
 #: Flame frame vocabulary: every span kind plus the structural
 #: ``subquery`` grouping frame.  Paths store indices into this tuple.
@@ -62,9 +60,6 @@ F_SUBQUERY = len(KIND_NAMES)
 #: :data:`repro.faults.HEDGE_ATTEMPT`; re-declared to keep the trace
 #: package free of a faults import).
 _HEDGE_ATTEMPT = -1
-
-#: Floats per path row in the columnar transport form.
-_PATH_WIDTH = 3  # count, self, total
 
 
 class FlameAccumulator:
@@ -178,55 +173,6 @@ def merge_flames(flames: Dict[str, Optional[Dict[str, Any]]]
 
 
 # ---------------------------------------------------------------------------
-# Columnar transport form
-# ---------------------------------------------------------------------------
-
-def flame_columns(flame: Dict[str, Any]
-                  ) -> Tuple[Dict[str, Any], List[float]]:
-    """Split a flame summary into ``(structure, floats)`` for the
-    pooled result transport (same contract as
-    :func:`repro.trace.export.summary_columns`)."""
-    structure = {
-        "frames": list(flame["frames"]),
-        "tables": [
-            (klass, [(phase, [list(path) for path in entry["paths"]])
-                     for phase, entry in phases.items()])
-            for klass, phases in flame["tables"].items()
-        ],
-    }
-    floats: List[float] = []
-    for _klass, phases in flame["tables"].items():
-        for _phase, entry in phases.items():
-            for count, self_w, total_w in zip(entry["count"], entry["self"],
-                                              entry["total"]):
-                floats.append(count)
-                floats.append(self_w)
-                floats.append(total_w)
-    return structure, floats
-
-
-def flame_from_columns(structure: Dict[str, Any],
-                       floats: List[float]) -> Dict[str, Any]:
-    """Exact inverse of :func:`flame_columns`."""
-    tables: Dict[str, Dict[str, Any]] = {}
-    pos = 0
-    for klass, phases in structure["tables"]:
-        tables[klass] = {}
-        for phase, paths in phases:
-            counts, selves, totals = [], [], []
-            for _ in paths:
-                counts.append(floats[pos])
-                selves.append(floats[pos + 1])
-                totals.append(floats[pos + 2])
-                pos += _PATH_WIDTH
-            tables[klass][phase] = {
-                "paths": [list(path) for path in paths],
-                "count": counts, "self": selves, "total": totals,
-            }
-    return {"frames": list(structure["frames"]), "tables": tables}
-
-
-# ---------------------------------------------------------------------------
 # Exporters
 # ---------------------------------------------------------------------------
 
@@ -256,69 +202,11 @@ def collapsed_stacks(flames: Dict[str, Dict[str, Any]]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-#: The speedscope file-format schema URL (the viewer keys on it).
-SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
-
-
-def speedscope_doc(flames: Dict[str, Dict[str, Any]],
-                   name: str = "repro flame") -> Dict[str, Any]:
-    """Speedscope JSON: one ``sampled`` profile per (label, class,
-    phase) with each aggregated path as a weighted stack.
-
-    Weights are self seconds; zero-weight paths are dropped (they are
-    visible as prefixes of deeper stacks).  Frame indices reference
-    one shared :data:`FRAME_NAMES` table, so every profile shares the
-    interned frame vocabulary.
-    """
-    shared_frames = [{"name": frame} for frame in FRAME_NAMES]
-    profiles: List[Dict[str, Any]] = []
-    for label in sorted(flames):
-        flame = flames[label]
-        for klass in sorted(flame["tables"]):
-            for phase in sorted(flame["tables"][klass]):
-                entry = flame["tables"][klass][phase]
-                samples, weights = [], []
-                for path, self_w in zip(entry["paths"], entry["self"]):
-                    if self_w <= 0.0:
-                        continue
-                    samples.append(list(path))
-                    weights.append(self_w)
-                if not samples:
-                    continue
-                profiles.append({
-                    "type": "sampled",
-                    "name": f"{label} / {klass} / {phase}",
-                    "unit": "seconds",
-                    "startValue": 0.0,
-                    "endValue": sum(weights),
-                    "samples": samples,
-                    "weights": weights,
-                })
-    return {
-        "$schema": SPEEDSCOPE_SCHEMA,
-        "shared": {"frames": shared_frames},
-        "profiles": profiles,
-        "exporter": "repro.trace.flame",
-        "name": name,
-    }
-
-
-def write_flame(path: str, flames: Dict[str, Dict[str, Any]]) -> str:
-    """Write *flames* to *path*, creating missing parent directories.
-
-    ``.json`` paths get a speedscope document (open at
-    https://www.speedscope.app); anything else gets collapsed-stack
-    text for flamegraph.pl / inferno.  Returns the format written
-    (``"speedscope"`` or ``"collapsed"``).
-    """
+def write_flame(path: str, flames: Dict[str, Dict[str, Any]]) -> None:
+    """Write *flames* to *path* as collapsed-stack text, whatever its
+    extension, creating missing parent directories."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    if path.endswith(".json"):
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(speedscope_doc(flames), handle, indent=1)
-            handle.write("\n")
-        return "speedscope"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(collapsed_stacks(flames))
-    return "collapsed"

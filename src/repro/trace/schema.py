@@ -8,8 +8,6 @@ shim (``scripts/check_trace_schema.py``), CI, and the unit tests:
   the ``phase:*`` workload-phase annotation events);
 - :func:`check_collapsed` — flamegraph.pl collapsed-stack text from
   ``--flame-out``;
-- :func:`check_speedscope` — speedscope JSON from a ``.json``
-  ``--flame-out``;
 - :func:`check_prometheus` — the ``--prom-out`` text snapshot.
 
 Every check raises :class:`SchemaError` with a one-line message on the
@@ -24,11 +22,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List
 
-from .flame import FRAME_NAMES, SPEEDSCOPE_SCHEMA
+from .flame import FRAME_NAMES
 from .spans import KIND_NAMES
 
 __all__ = ["SchemaError", "check_chrome_trace", "check_collapsed",
-           "check_speedscope", "check_prometheus", "check_path", "main"]
+           "check_prometheus", "check_path", "main"]
 
 _META_NAMES = {"process_name", "thread_name"}
 
@@ -164,54 +162,6 @@ def check_collapsed(text: str) -> Dict[str, int]:
     return {"lines": len(lines), "total_weight": total}
 
 
-def check_speedscope(doc: Any) -> Dict[str, int]:
-    """Validate a speedscope JSON document: schema tag, one shared
-    frame table, and well-formed ``sampled`` profiles whose samples
-    index into it with matching non-negative weights."""
-    if not isinstance(doc, dict):
-        _fail("top level must be a JSON object")
-    if doc.get("$schema") != SPEEDSCOPE_SCHEMA:
-        _fail(f"$schema must be {SPEEDSCOPE_SCHEMA!r}")
-    frames = doc.get("shared", {}).get("frames")
-    if not isinstance(frames, list) or not frames:
-        _fail("shared.frames must be a non-empty list")
-    for i, frame in enumerate(frames):
-        if not isinstance(frame, dict) or not frame.get("name"):
-            _fail(f"shared.frames[{i}] has no name")
-    profiles = doc.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        _fail("profiles must be a non-empty list")
-    samples_total = 0
-    for p, profile in enumerate(profiles):
-        where = f"profiles[{p}]"
-        if profile.get("type") != "sampled":
-            _fail(f"{where}: type must be 'sampled'")
-        if profile.get("unit") != "seconds":
-            _fail(f"{where}: unit must be 'seconds'")
-        samples = profile.get("samples")
-        weights = profile.get("weights")
-        if not isinstance(samples, list) or not samples:
-            _fail(f"{where}: samples must be a non-empty list")
-        if not isinstance(weights, list) or len(weights) != len(samples):
-            _fail(f"{where}: weights must pair samples 1:1")
-        for s, stack in enumerate(samples):
-            if not isinstance(stack, list) or not stack:
-                _fail(f"{where}.samples[{s}] is empty")
-            for index in stack:
-                if not isinstance(index, int) \
-                        or not 0 <= index < len(frames):
-                    _fail(f"{where}.samples[{s}]: frame index {index!r} "
-                          f"out of range")
-        for w, weight in enumerate(weights):
-            if not isinstance(weight, (int, float)) or weight < 0:
-                _fail(f"{where}.weights[{w}]: bad weight {weight!r}")
-        if profile.get("endValue", -1.0) < 0:
-            _fail(f"{where}: endValue must be >= 0")
-        samples_total += len(samples)
-    return {"profiles": len(profiles), "samples": samples_total,
-            "frames": len(frames)}
-
-
 # ---------------------------------------------------------------------------
 # Prometheus text snapshot
 # ---------------------------------------------------------------------------
@@ -273,13 +223,7 @@ def check_path(path: str) -> str:
                     f"{stats['threads']} threads, {stats['spans']} spans, "
                     f"{stats['instants']} instants, "
                     f"{stats['phase_marks']} phase marks) in {path}")
-        if doc.get("$schema") == SPEEDSCOPE_SCHEMA:
-            stats = check_speedscope(doc)
-            return (f"speedscope schema OK: {stats['profiles']} profiles, "
-                    f"{stats['samples']} stacks over {stats['frames']} "
-                    f"frames in {path}")
-        _fail(f"{path}: unrecognised JSON artifact "
-              f"(neither trace_event nor speedscope)")
+        _fail(f"{path}: unrecognised JSON artifact (not trace_event)")
     if stripped.startswith("#"):
         stats = check_prometheus(text)
         return (f"prometheus schema OK: {stats['samples']} samples in "

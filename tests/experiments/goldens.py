@@ -43,10 +43,10 @@ EXPORTS = (("trace.json", "_write_trace_out"),
 def canonical(value):
     """*value* with every int made a float and every tuple a list.
 
-    The pooled result transport ships counts as floats (``3`` comes
-    back as ``3.0``) and sequences as lists; both are equal by value,
-    so the digest must not tell them apart.  Floats keep their exact
-    ``repr``.
+    The recorded digests are taken over this form (an earlier pooled
+    transport shipped counts as floats and sequences as lists), so it
+    stays to keep them stable; pooled and serial results are now
+    ``repr``-identical anyway.  Floats keep their exact ``repr``.
     """
     if isinstance(value, bool):
         return value

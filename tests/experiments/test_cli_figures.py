@@ -210,6 +210,29 @@ class TestExhibitRun:
                 list(alone.data["prometheus"])
 
 
+class TestTailRender:
+    def test_summary_p99_matches_series_table(self):
+        """Figures 15-17 print each server's p99 twice, in the
+        percentile table and in the summary; both must show the same
+        number (819.489 ms once read 819 in one and 820 in the other)."""
+        from types import SimpleNamespace
+
+        from repro.experiments.figures import TAIL_PERCENTILES, _tail_render
+
+        p99s = {"AIOBackend": 0.819489, "NettyBackend": 0.00475}
+        pairs = [(label, SimpleNamespace(
+            percentiles={q: p99 * q / 99.0 for q in TAIL_PERCENTILES},
+            throughput=480.0, cpu_utilization=0.5))
+            for label, p99 in p99s.items()]
+        text = _tail_render("fig15a", "tail", pairs).text
+        rows = [line.split() for line in text.splitlines()]
+        (table_row,) = [row for row in rows if row[:1] == ["99.00"]]
+        summary = {row[0]: row[2] for row in rows
+                   if row[:1] and row[0] in p99s}
+        assert table_row[1:] == [summary[label] for label in p99s]
+        assert table_row[1:] == ["819", "4.75"]
+
+
 def _tiny_config(seed, **kw):
     return ExperimentConfig(server="doubleface", concurrency=4, fanout=3,
                             response_size=100, warmup=0.2, duration=0.4,

@@ -137,7 +137,7 @@ class TestAttributionDeterminism:
     def test_attribution_grid_parallel_equals_serial(self):
         """The attribution digest is plain float arithmetic on the
         winning attempts' wire stamps — no RNG, no wall clock — so
-        jobs=1 and jobs=4 over the columnar result transport stay
+        jobs=1 and jobs=4 with pickled pooled results stay
         float-identical, learned per-shard delays included."""
         serial = run_experiments(_attribution_grid(), jobs=1)
         parallel = run_experiments(_attribution_grid(), jobs=4)

@@ -1,15 +1,13 @@
-"""Tests for the columnar result transport (repro.experiments.transport).
+"""Tests for the pooled result format (repro.experiments.parallel).
 
-Two load-bearing properties:
-
-1. **Codec identity.**  ``decode_result(encode_result(r))`` rebuilds
-   every ``ExperimentResult`` field exactly — float for float, dict
-   order included — from any buffer source (the array itself or the
-   raw bytes a worker ships).
-2. **Pooled ≡ serial.**  Pooled runs, which ship every result as a
-   pickled header plus inline column bytes, produce byte-identical
-   results to the serial path, all the way up to a golden-pinned
-   exhibit — without ever touching shared memory.
+A worker pickles its whole ``ExperimentResult`` and ships it as the
+first slot of a ``(result_bytes, None, b"")`` payload; the parent
+unpickles it.  The load-bearing property is **pooled ≡ serial**:
+pooled results are ``repr``-identical to the serial ones — ints stay
+ints, every float keeps its bits, dict order survives — including the
+trace summary, flame and telemetry gauges of traced, observed runs,
+all the way up to a golden-pinned exhibit, without ever touching
+shared memory.
 """
 
 import dataclasses
@@ -22,7 +20,7 @@ import pytest
 from repro.experiments import parallel
 from repro.experiments.config import ExperimentConfig, ExperimentResult
 from repro.experiments.parallel import BatchExecutor, run_experiments
-from repro.experiments.transport import decode_result, encode_result
+from repro.faults import FaultConfig, ResilienceConfig
 from tests.experiments import goldens
 
 
@@ -57,55 +55,6 @@ def make_result(n_latency=40, n_thread=10) -> ExperimentResult:
 
 
 class TestCodecIdentity:
-    def test_round_trip_every_field(self):
-        original = make_result()
-        header, columns = encode_result(original)
-        rebuilt = decode_result(header, columns)
-        assert dataclasses.asdict(rebuilt) == dataclasses.asdict(original)
-        # Dict insertion order survives too (asdict equality alone
-        # would accept a reordering).
-        assert list(rebuilt.percentiles) == list(original.percentiles)
-        assert list(rebuilt.class_percentiles) == \
-            list(original.class_percentiles)
-        assert list(rebuilt.cpu_shares) == list(original.cpu_shares)
-        assert list(rebuilt.fault_counters) == list(original.fault_counters)
-
-    def test_round_trip_from_bytes(self):
-        """Workers ship raw bytes; decode must accept any
-        buffer-protocol source."""
-        original = make_result()
-        header, columns = encode_result(original)
-        blob = memoryview(columns).cast("B").tobytes()
-        rebuilt = decode_result(header, blob)
-        assert dataclasses.asdict(rebuilt) == dataclasses.asdict(original)
-
-    def test_round_trip_empty_collections(self):
-        """A quick-mode result ships no samples, no classes, no faults."""
-        original = make_result(n_latency=0, n_thread=0)
-        original = dataclasses.replace(original, class_percentiles={},
-                                       fault_counters={}, selector_stats=[])
-        header, columns = encode_result(original)
-        rebuilt = decode_result(header, columns)
-        assert dataclasses.asdict(rebuilt) == dataclasses.asdict(original)
-        assert rebuilt.latency_samples == []
-        assert rebuilt.thread_samples == []
-
-    def test_header_is_small_and_picklable(self):
-        """The header must stay O(1) in the sample count — it rides the
-        result pipe on every point."""
-        small = pickle.dumps(encode_result(make_result(n_latency=10))[0],
-                             pickle.HIGHEST_PROTOCOL)
-        large = pickle.dumps(encode_result(make_result(n_latency=10_000))[0],
-                             pickle.HIGHEST_PROTOCOL)
-        # Only the count integers grow — a few bytes, not O(samples).
-        assert len(large) - len(small) < 16
-
-    def test_short_buffer_rejected(self):
-        header, columns = encode_result(make_result())
-        truncated = memoryview(columns).cast("B").tobytes()[:-8]
-        with pytest.raises(ValueError):
-            decode_result(header, truncated)
-
     def test_row_view_properties(self):
         """The (time, value) tuple views stay available on top of the
         columnar storage — report/figures consume them unchanged."""
@@ -125,8 +74,32 @@ def _grid(seed=7):
             for conc in (4, 16)]
 
 
+def _observed_grid(seed=11):
+    """Cheap traced + observed grid under a rack brown-out with
+    percentile and attribution hedging, so every optional result
+    section is filled."""
+    faults = FaultConfig(rack_slow_racks=1, rack_slow_factor=100.0,
+                         rack_slow_mean_on=0.15, rack_slow_mean_off=0.15)
+    return [ExperimentConfig(
+        server=server, concurrency=8, fanout=5, response_size=100,
+        warmup=0.1, duration=0.15, seed=seed, trace=True, trace_sample=0.2,
+        obs=True, faults=faults, replicas_per_shard=2, racks=2,
+        replica_policy="ewma",
+        resilience=ResilienceConfig(subquery_deadline=5e-3, max_retries=2,
+                                    backoff_base=0.5e-3, backoff_cap=2e-3,
+                                    hedge_percentile=95.0,
+                                    hedge_policy=policy,
+                                    digest_min_samples=16))
+        for server, policy in (("doubleface", "attribution"),
+                               ("aio", "percentile"))]
+
+
 def _asdicts(results):
     return [dataclasses.asdict(result) for result in results]
+
+
+def _reprs(results):
+    return [repr(dataclasses.asdict(result)) for result in results]
 
 
 def _refuse_shared_memory(monkeypatch):
@@ -158,8 +131,8 @@ class TestTransportEquivalence:
 
     def test_tiny_ring_forces_inline_fallback(self, monkeypatch):
         """Every pooled result ships inline: the worker's payload carries
-        no ticket, and its header and column bytes are exactly the
-        encoding of the matching serial result."""
+        no ticket, and its first slot unpickles to a result
+        ``repr``-identical to the matching serial one."""
         original = parallel._decode_payload
         payloads = []
 
@@ -170,20 +143,13 @@ class TestTransportEquivalence:
         monkeypatch.setattr(parallel, "_decode_payload", capture)
         serial = run_experiments(_grid(), jobs=1)
         pooled = run_experiments(_grid(), jobs=2)
-        assert _asdicts(pooled) == _asdicts(serial)
+        assert _reprs(pooled) == _reprs(serial)
         assert len(payloads) == len(serial)
-        expected = []
-        for result in serial:
-            header, columns = encode_result(result)
-            expected.append((header, columns.tobytes()))
-        shipped = []
-        for header_bytes, ticket, inline in payloads:
-            assert ticket is None
-            assert isinstance(inline, bytes)
-            shipped.append((pickle.loads(header_bytes), inline))
+        assert all(ticket is None for _, ticket, _ in payloads)
         # Payloads are decoded in completion order, not grid order.
-        for item in expected:
-            assert item in shipped
+        shipped = sorted(_reprs(pickle.loads(result_bytes)
+                                for result_bytes, _, _ in payloads))
+        assert shipped == sorted(_reprs(serial))
 
 
 class TestPooledEquivalence:
@@ -198,15 +164,15 @@ class TestPooledEquivalence:
 
     def test_decode_payload_contract(self, monkeypatch):
         """The pool calls ``parallel._decode_payload`` by attribute with
-        two positional arguments and a ``(header_bytes, ticket, inline)``
-        payload whose ticket is always ``None``; perfbench's decode hook
-        wraps it exactly like this."""
+        two positional arguments and a three-slot payload whose ticket
+        is always ``None``; perfbench's decode hook wraps it exactly
+        like this and sizes the first and last slots."""
         original = parallel._decode_payload
         seen = []
 
         def timed(payload, ring):
-            header_bytes, ticket, inline = payload
-            seen.append((ticket, len(header_bytes), len(inline)))
+            result_bytes, ticket, _inline = payload  # exactly 3 slots
+            seen.append((ticket, len(result_bytes)))
             return original(payload, ring)
 
         monkeypatch.setattr(parallel, "_decode_payload", timed)
@@ -214,9 +180,20 @@ class TestPooledEquivalence:
         with BatchExecutor(jobs=2) as executor:
             batch = executor.run(_grid()[:2])
         assert len(seen) == 2
-        assert all(ticket is None and n_header > 0 and n_inline > 0
-                   for ticket, n_header, n_inline in seen)
+        assert all(ticket is None and n_bytes > 0 for ticket, n_bytes in seen)
         assert _asdicts(batch) == _asdicts(serial)
+
+    def test_traced_observed_pool_is_repr_identical(self):
+        """Trace summaries, flames, telemetry gauges, phases, fault
+        counters and learned hedge delays all cross the pipe unchanged:
+        pooled results are ``repr``-identical to serial ones, ints
+        included."""
+        serial = run_experiments(_observed_grid(), jobs=1)
+        pooled = run_experiments(_observed_grid(), jobs=2)
+        assert all(r.trace_summary["sampled"] > 0 and r.flame and
+                   r.obs_names and r.fault_counters for r in serial)
+        assert any(r.hedge_delays for r in serial)
+        assert _reprs(pooled) == _reprs(serial)
 
 
 class TestGoldenPooled:

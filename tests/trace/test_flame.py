@@ -1,18 +1,14 @@
 """Unit tests for the cross-request flame aggregation
-(:mod:`repro.trace.flame`): fold rules, prefix-rollup totals, the
-columnar transport codec, and both exporters against the schema
-validators."""
+(:mod:`repro.trace.flame`): fold rules, prefix-rollup totals, and the
+collapsed-stack exporter against the schema validator."""
 
 import random
 
 from repro.trace import (FRAME_NAMES, F_SUBQUERY, FlameAccumulator,
-                         K_HEDGE, K_NET_REQUEST, K_PARSE, K_RETRY,
-                         K_ROOT, K_SERVICE, KIND_NAMES, Tracer,
-                         build_flame, collapsed_stacks, flame_columns,
-                         flame_from_columns, merge_flames,
-                         speedscope_doc, write_flame)
-from repro.trace.schema import (check_collapsed, check_path,
-                                check_speedscope)
+                         K_HEDGE, K_PARSE, K_RETRY, K_ROOT, K_SERVICE,
+                         KIND_NAMES, Tracer, build_flame, collapsed_stacks,
+                         merge_flames, write_flame)
+from repro.trace.schema import check_collapsed, check_path
 
 
 def _folded_trace(tracer, acc, phase="measure", klass="default"):
@@ -142,33 +138,6 @@ class TestBuildFlame:
         assert tuple(flame["frames"]) == FRAME_NAMES
 
 
-class TestColumns:
-    def _flame(self):
-        acc = FlameAccumulator()
-        tracer = Tracer(random.Random(3), sample_rate=1.0)
-        for i in range(5):
-            trace = tracer.begin("Lfan" if i % 2 else "Sfan", now=0.0)
-            trace.add(K_PARSE, 0.0, 0.001 * (i + 1))
-            trace.add(K_SERVICE, 0.0, 0.002 * (i + 1), seq=0, attempt=0)
-            trace.add(K_NET_REQUEST, 0.0, 0.003, seq=1, attempt=-1)
-            acc.fold(trace, "measure" if i < 3 else "measure+slow")
-        return build_flame(acc)
-
-    def test_roundtrip_is_exact_identity(self):
-        flame = self._flame()
-        structure, floats = flame_columns(flame)
-        assert flame_from_columns(structure, floats) == flame
-
-    def test_structure_carries_no_floats(self):
-        flame = self._flame()
-        structure, floats = flame_columns(flame)
-        n_paths = sum(len(entry["paths"])
-                      for phases in flame["tables"].values()
-                      for entry in phases.values())
-        assert len(floats) == 3 * n_paths
-        assert "count" not in str(structure)
-
-
 class TestExporters:
     def _flames(self):
         acc = FlameAccumulator()
@@ -190,16 +159,8 @@ class TestExporters:
         assert ("run;default;measure;root;subquery;service 2000"
                 in lines)
 
-    def test_speedscope_valid(self):
-        doc = speedscope_doc(self._flames())
-        check_speedscope(doc)
-        assert len(doc["profiles"]) == 1
-        profile = doc["profiles"][0]
-        assert profile["endValue"] == sum(profile["weights"])
-
     def test_empty_flames_export_cleanly(self):
         assert collapsed_stacks({}) == ""
-        assert speedscope_doc({})["profiles"] == []
 
     def test_merge_flames_drops_none(self):
         flame = self._flames()["run"]
@@ -207,10 +168,12 @@ class TestExporters:
         assert list(merged) == ["b"]
 
     def test_write_flame_formats_and_parent_dirs(self, tmp_path):
+        """One format whatever the extension: collapsed-stack text,
+        with missing parent directories created."""
         flames = self._flames()
         nested = tmp_path / "deep" / "dir" / "flame.json"
-        assert write_flame(str(nested), flames) == "speedscope"
-        assert check_path(str(nested)).startswith("speedscope")
         collapsed = tmp_path / "flame.collapsed"
-        assert write_flame(str(collapsed), flames) == "collapsed"
-        assert check_path(str(collapsed)).startswith("collapsed")
+        for path in (nested, collapsed):
+            write_flame(str(path), flames)
+            assert path.read_text() == collapsed_stacks(flames)
+            assert check_path(str(path)).startswith("collapsed")

@@ -11,11 +11,10 @@ import pytest
 from repro.obs.prometheus import prometheus_snapshot
 from repro.trace import (FlameAccumulator, K_PARSE, K_SERVICE, K_ROOT,
                          Tracer, build_flame, build_summary,
-                         chrome_trace, collapsed_stacks, speedscope_doc)
+                         chrome_trace, collapsed_stacks)
 from repro.trace.schema import (SchemaError, check_chrome_trace,
                                 check_collapsed, check_path,
-                                check_prometheus, check_speedscope,
-                                main)
+                                check_prometheus, main)
 
 
 def _summary():
@@ -115,30 +114,6 @@ class TestCollapsed:
             check_collapsed("\n\n")
 
 
-class TestSpeedscope:
-    def test_accepts_exporter_output(self):
-        stats = check_speedscope(speedscope_doc({"run": _flame()}))
-        assert stats["profiles"] == 1
-
-    def test_rejects_wrong_schema_tag(self):
-        doc = speedscope_doc({"run": _flame()})
-        doc["$schema"] = "https://example.com/other.json"
-        with pytest.raises(SchemaError, match="schema"):
-            check_speedscope(doc)
-
-    def test_rejects_out_of_range_frame_index(self):
-        doc = speedscope_doc({"run": _flame()})
-        doc["profiles"][0]["samples"][0][0] = 999
-        with pytest.raises(SchemaError, match="out of range"):
-            check_speedscope(doc)
-
-    def test_rejects_mismatched_weights(self):
-        doc = speedscope_doc({"run": _flame()})
-        doc["profiles"][0]["weights"].append(1.0)
-        with pytest.raises(SchemaError, match="1:1"):
-            check_speedscope(doc)
-
-
 class TestPrometheus:
     def _snapshot(self):
         from repro.experiments.config import ExperimentConfig
@@ -170,17 +145,24 @@ class TestDispatch:
     def test_check_path_sniffs_all_formats(self, tmp_path):
         trace_path = tmp_path / "trace.json"
         trace_path.write_text(json.dumps(chrome_trace({"r": _summary()})))
-        flame_json = tmp_path / "flame.json"
-        flame_json.write_text(json.dumps(speedscope_doc({"r": _flame()})))
         collapsed = tmp_path / "flame.collapsed"
         collapsed.write_text(collapsed_stacks({"r": _flame()}))
         prom = tmp_path / "prom.txt"
         prom.write_text("# HELP repro_x x\n# TYPE repro_x gauge\n"
                         "repro_x 1.0\n")
         assert check_path(str(trace_path)).startswith("trace schema OK")
-        assert check_path(str(flame_json)).startswith("speedscope")
         assert check_path(str(collapsed)).startswith("collapsed")
         assert check_path(str(prom)).startswith("prometheus")
+
+    def test_check_path_rejects_other_json(self, tmp_path):
+        """Flames have one format; a speedscope-style JSON document is
+        no longer a recognised artifact."""
+        other = tmp_path / "flame.json"
+        other.write_text(json.dumps({
+            "$schema": "https://www.speedscope.app/file-format-schema.json",
+            "profiles": []}))
+        with pytest.raises(SchemaError, match="unrecognised JSON"):
+            check_path(str(other))
 
     def test_check_path_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="cannot read"):

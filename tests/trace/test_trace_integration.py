@@ -8,8 +8,8 @@ Four load-bearing properties:
    behaviour.  (Tracing *off* is pinned even harder — byte-identical —
    by the pre-existing golden-tab2 test, since ``trace`` defaults off.)
 2. **Determinism across workers.**  ``trace_summary`` is a pure
-   function of the config seed: ``jobs=1`` equals ``jobs=4`` over the
-   columnar result transport, float for float.
+   function of the config seed: ``jobs=1`` equals ``jobs=4`` with the
+   results pickled over the pool pipe, float for float.
 3. **Exact additivity on real traces.**  Every exemplar from a real
    multi-architecture run re-subtracts to exactly ``0.0``.
 4. **Tail attribution.**  Under an injected slow shard, the slowest

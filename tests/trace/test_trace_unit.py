@@ -5,8 +5,8 @@ The load-bearing invariant is **float-exact additivity**: for every
 trace, ``attribute`` splits the measured ``rt`` into six categories
 whose canonical-order re-subtraction (``additivity_residual``) yields
 exactly ``0.0`` — not approximately.  The property test hammers that
-with randomized span soups; the exporter tests pin the columnar
-round-trip as an exact inverse and the Chrome JSON schema.
+with randomized span soups; the exporter tests pin the summary shape
+and the Chrome JSON schema.
 """
 
 import random
@@ -19,8 +19,7 @@ from repro.trace import (CATEGORIES, FLAG_SYNTHESIZED, KIND_NAMES,
                          K_PARSE, K_PROCESS, K_RETRY, K_ROOT,
                          K_SELECTOR_WAIT, K_SERVER_QUEUE, K_SERVICE,
                          Trace, Tracer, additivity_residual, attribute,
-                         build_summary, chrome_trace, summary_columns,
-                         summary_from_columns)
+                         build_summary, chrome_trace)
 
 
 class TestTracer:
@@ -237,18 +236,6 @@ class TestExport:
             for exemplar in entry["exemplars"]:
                 assert additivity_residual(
                     exemplar["rt"], exemplar["breakdown"]) == 0.0
-
-    def test_columnar_round_trip_is_exact(self):
-        summary = build_summary(_synthetic_tracer())
-        structure, floats = summary_columns(summary)
-        assert summary_from_columns(structure, list(floats)) == summary
-
-    def test_columnar_round_trip_empty_summary(self):
-        tracer = Tracer(random.Random(1))
-        summary = build_summary(tracer)
-        structure, floats = summary_columns(summary)
-        assert floats == []
-        assert summary_from_columns(structure, floats) == summary
 
     def test_chrome_trace_schema(self):
         summary = build_summary(_synthetic_tracer())
