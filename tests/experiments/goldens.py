@@ -2,14 +2,13 @@
 it is read and written.
 
 One JSON file per exhibit under ``golden/`` holds the exhibit's
-rendered text plus a SHA-256 over the ``repr`` of its canonicalised
-data, all at ``quick=True, seed=42``.  ``golden/traced_obs.json`` pins
-one traced + observed run (:data:`TRACED_NAMES` with
-:data:`TRACED_KW`): each exhibit's text and data digest, the ordered
-names and digests of its trace summaries / flames / phase windows /
-Prometheus snapshots, and a SHA-256 over the bytes of the three
-artifact files the CLI's ``--trace-out`` / ``--flame-out`` /
-``--prom-out`` write for it.
+rendered text plus a SHA-256 over the ``repr`` of its data, all at
+``quick=True, seed=42``.  ``golden/traced_obs.json`` pins one traced
++ observed run (:data:`TRACED_NAMES` with :data:`TRACED_KW`): each
+exhibit's text and data digest, the ordered names and digests of its
+trace summaries / flames / phase windows / Prometheus snapshots, and a
+SHA-256 over the bytes of the three artifact files the CLI's
+``--trace-out`` / ``--flame-out`` / ``--prom-out`` write for it.
 
 ``tests/experiments/test_golden.py`` checks these files;
 ``scripts/regen_golden.py`` rewrites them.
@@ -40,28 +39,10 @@ EXPORTS = (("trace.json", "_write_trace_out"),
            ("prom.txt", "_write_prom_out"))
 
 
-def canonical(value):
-    """*value* with every int made a float and every tuple a list.
-
-    The recorded digests are taken over this form (an earlier pooled
-    transport shipped counts as floats and sequences as lists), so it
-    stays to keep them stable; pooled and serial results are now
-    ``repr``-identical anyway.  Floats keep their exact ``repr``.
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return float(value)
-    if isinstance(value, dict):
-        return {canonical(k): canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
-    return value
-
-
 def digest(value) -> str:
-    """SHA-256 over the ``repr`` of the canonical form of *value*."""
-    return hashlib.sha256(repr(canonical(value)).encode()).hexdigest()
+    """SHA-256 over the ``repr`` of *value*.  Pooled and serial results
+    are ``repr``-identical, so the digest does not depend on ``jobs``."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def exhibit_record(result) -> dict:
