@@ -9,11 +9,11 @@ Amazon-DynamoDB-style cluster).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from ..sim.metrics import Metrics
-from ..sim.network import Connection
+from ..sim.network import Connection, Endpoint
 from ..sim.params import CostParams
 from ..sim.rng import RngStreams
 from .records import RecordSchema
@@ -33,18 +33,15 @@ class DatastoreCluster:
                  name: str = "datastore", replicas_per_shard: int = 1,
                  racks: int = 1, replica_policy: str = "primary",
                  faults: Optional[Any] = None,
-                 cross_rack_extra_latency: float = 0.0,
-                 app_rack: int = 0) -> None:
+                 cross_rack_extra_latency: float = 0.0) -> None:
         if n_shards < 1:
             raise ValueError("cluster needs at least one shard")
         if replicas_per_shard < 1:
             raise ValueError("need at least one replica per shard")
         if racks < 1:
             raise ValueError("cluster needs at least one rack")
-        if cross_rack_extra_latency < 0:
+        if not (cross_rack_extra_latency >= 0):  # also rejects NaN
             raise ValueError("cross_rack_extra_latency must be >= 0")
-        if not 0 <= app_rack < racks:
-            raise ValueError(f"app_rack {app_rack} outside 0..{racks - 1}")
         self.sim = sim
         self.metrics = metrics
         self.params = params
@@ -54,16 +51,18 @@ class DatastoreCluster:
         #: Rack count for correlated-fault topology; replica *r* of
         #: shard *s* lives in rack :func:`rack_of(s, r, racks)`.
         self.racks = racks
-        #: Rack the application server sits in: connections to replicas
-        #: placed in *other* racks pay ``cross_rack_extra_latency`` of
-        #: additional one-way latency (spine-crossing RTT asymmetry).
-        #: The 0.0 default keeps every connection identical to the
-        #: pre-knob behaviour.
-        self.app_rack = app_rack
+        #: The application server sits in rack 0: connections to
+        #: replicas placed in *other* racks pay this much additional
+        #: one-way latency (spine-crossing RTT asymmetry).  The 0.0
+        #: default keeps every connection identical to the flat
+        #: topology.
         self.cross_rack_extra_latency = cross_rack_extra_latency
         #: Optional :class:`~repro.faults.FaultSchedule` threaded into
         #: every shard server and app<->shard connection.
         self.faults = faults
+        #: Replica connections by (receive endpoint, shard, replica);
+        #: see :meth:`replica_connection`.
+        self._replica_conns: Dict[Tuple[Endpoint, int, int], Connection] = {}
         #: Shared :class:`~repro.datastore.sharding.ReplicaSelector`
         #: consulted by every driver's initial sends and by the
         #: resilience policy's retries/hedges.  Only the ``random`` and
@@ -119,14 +118,14 @@ class DatastoreCluster:
         With the default arguments (or ``cross_rack_extra_latency`` at
         its 0.0 default) this is the flat cluster-wide latency; given a
         placement it adds the cross-rack penalty when the target
-        replica's rack differs from :attr:`app_rack`.
+        replica's rack is not rack 0, the application server's.
         """
         latency = self.params.net_latency
         if self.remote:
             latency += self.params.remote_extra_latency
         if (self.cross_rack_extra_latency > 0.0 and shard_id >= 0
                 and rack_of(shard_id, replica % self.replicas_per_shard,
-                            self.racks) != self.app_rack):
+                            self.racks) != 0):
             latency += self.cross_rack_extra_latency
         return latency
 
@@ -139,6 +138,23 @@ class DatastoreCluster:
         server = self.replica_sets[shard_id][replica % self.replicas_per_shard]
         return server.accept(
             latency=self.connection_latency(shard_id, replica))
+
+    def replica_connection(self, endpoint: Endpoint, shard_id: int,
+                           replica: int) -> Connection:
+        """The connection to (*shard_id*, *replica*) whose side ``a``
+        is *endpoint*, opened on first use.
+
+        Routed initial sends and retries/hedges that leave the primary
+        share it, so a replica's responses surface on the endpoint
+        where the primary's do.
+        """
+        key = (endpoint, shard_id, replica)
+        conn = self._replica_conns.get(key)
+        if conn is None:
+            conn = self.connect_shard(shard_id, replica)
+            conn.attach("a", endpoint)
+            self._replica_conns[key] = conn
+        return conn
 
     def connect_all(self) -> List[Connection]:
         """One connection per shard, in shard order."""

@@ -21,7 +21,7 @@ server's event loop.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..messages import HttpRequest, QueryResponse
 from ..sim.network import ChannelEndpoint, Connection
@@ -38,7 +38,7 @@ class AioBackendServer(AppServer):
 
     kind = "aio"
 
-    def __init__(self, *args, pool_max: Optional[int] = None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.frontend_selector = Selector(
             self.sim, self.cpu, self.metrics, self.params,
@@ -48,7 +48,7 @@ class AioBackendServer(AppServer):
             name=f"{self.name}.jvm")
         self.pool = OnDemandPool(
             self.sim, self.cpu, self.metrics, self.params,
-            max_size=pool_max, name=f"{self.name}.jvmpool")
+            name=f"{self.name}.jvmpool")
         self.frontend_thread = SimThread(self.cpu, name=f"{self.name}-frontend")
         self.jvm_thread = SimThread(self.cpu, name=f"{self.name}-jvm")
         self._downstream: List[Connection] = []

@@ -122,10 +122,6 @@ class AppServer:
         #: None (the default) keeps every code path identical to the
         #: pre-resilience behaviour.
         self.resilience = resilience
-        #: Lazily opened replica connections for non-primary initial
-        #: routing, keyed by (primary connection id, shard, replica);
-        #: empty for the default ``primary`` policy.
-        self._replica_conns: dict = {}
         self.cpu = Cpu(sim, metrics, params, name="app")
         self._fanout_rng = rng_streams.stream(f"{self.name}.fanout")
         self._request_cpu_rng = rng_streams.stream(f"{self.name}.request_cpu")
@@ -191,20 +187,15 @@ class AppServer:
 
         Returns ``(conn, replica)``.  Under the default ``primary``
         policy this is ``(primary_conn, 0)`` with zero overhead; other
-        policies lazily open one connection per (primary conn, shard,
-        replica) that shares the primary connection's receive endpoint,
-        so replica responses surface exactly where primary responses do.
+        policies send on the cluster's
+        :meth:`~repro.datastore.cluster.DatastoreCluster.replica_connection`
+        for the primary connection's receive endpoint.
         """
         replica = self.cluster.replica_selector.pick(query.shard_id)
         if replica == 0:
             return primary_conn, 0
-        key = (primary_conn.cid, query.shard_id, replica)
-        conn = self._replica_conns.get(key)
-        if conn is None:
-            conn = self.cluster.connect_shard(query.shard_id, replica)
-            conn.attach("a", primary_conn.endpoint_a)
-            self._replica_conns[key] = conn
-        return conn, replica
+        return self.cluster.replica_connection(
+            primary_conn.endpoint_a, query.shard_id, replica), replica
 
     def response_is_fresh(self, state: RequestState, response: Any) -> bool:
         """True when *response* is the winning response for its

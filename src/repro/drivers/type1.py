@@ -13,8 +13,6 @@ connection-pool lock.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..messages import HttpRequest, Query
 from ..sim.network import ChannelEndpoint, Connection
 from ..sim.syscalls import Selector
@@ -30,12 +28,11 @@ class Type1AsyncServer(AppServer):
 
     kind = "type1-async"
 
-    def __init__(self, *args, pool_size: Optional[int] = None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        size = pool_size if pool_size is not None else self.params.type1_pool_size
         self.workers = FixedPool(
-            self.sim, self.cpu, self.metrics, self.params, size,
-            name=f"{self.name}.workers")
+            self.sim, self.cpu, self.metrics, self.params,
+            self.params.type1_pool_size, name=f"{self.name}.workers")
         self.conn_pool = SyncConnectionPool(
             self.sim, self.cpu, self.metrics, self.params, self.cluster,
             name=f"{self.name}.connpool", resilience=self.resilience)

@@ -48,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="head-based sampling probability for --trace "
              "(default 0.01 = 1%% of requests)")
     parser.add_argument(
-        "--trace-exemplars", type=int, default=3, metavar="K",
-        help="with --trace: slowest-request exemplar traces kept per "
-             "request class (default 3)")
-    parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="with --trace: write the collected exemplar traces as "
              "Chrome trace_event JSON to PATH (open in "
@@ -71,10 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(queue depths, hedge/retry rates, replica estimates, "
              "CPU run queue).  Observation-only — the measured "
              "numbers are identical with or without it.")
-    parser.add_argument(
-        "--obs-period", type=float, default=0.01, metavar="S",
-        help="with --obs: gauge sampling period in simulated seconds "
-             "(default 0.01)")
     parser.add_argument(
         "--prom-out", metavar="PATH", default=None,
         help="with --obs: write end-of-run Prometheus text-format "
@@ -98,19 +90,11 @@ def main(argv=None) -> int:
         print(f"--trace-sample must be in (0, 1], got {args.trace_sample}",
               file=sys.stderr)
         return 2
-    if args.trace_exemplars < 1:
-        print(f"--trace-exemplars must be >= 1, got {args.trace_exemplars}",
-              file=sys.stderr)
-        return 2
     if args.trace_out and not args.trace:
         print("--trace-out requires --trace", file=sys.stderr)
         return 2
     if args.flame_out and not args.trace:
         print("--flame-out requires --trace", file=sys.stderr)
-        return 2
-    if args.obs_period <= 0:
-        print(f"--obs-period must be positive, got {args.obs_period}",
-              file=sys.stderr)
         return 2
     if args.prom_out and not args.obs:
         print("--prom-out requires --obs", file=sys.stderr)
@@ -216,9 +200,7 @@ def _run(args) -> int:
 
     results = run_exhibits(names, quick=not args.full, seed=args.seed,
                            jobs=args.jobs, trace=args.trace,
-                           trace_sample=args.trace_sample,
-                           trace_exemplars=args.trace_exemplars,
-                           obs=args.obs, obs_period=args.obs_period,
+                           trace_sample=args.trace_sample, obs=args.obs,
                            on_result=show)
     if len(names) > 1:
         print(f"[{len(names)} exhibits regenerated (jobs={args.jobs}) in "

@@ -9,6 +9,7 @@ paper's tables and figures report.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -52,10 +53,9 @@ class ExperimentConfig:
     #: DoubleFaceAD reactor count: one per core (the paper's N-copy
     #: rule), matching the default 2-core cost model.
     reactors: int = 2              # DoubleFaceAD only
-    type1_pool_size: Optional[int] = None
-    aio_pool_max: Optional[int] = None
     large_shards: bool = False
-    #: CostParams field overrides (e.g. {"request_cpu": 3e-3}).
+    #: CostParams field overrides (e.g. {"request_cpu": 3e-3}; pool
+    #: sizes are ``type1_pool_size`` and ``aio_pool_max``).
     params: Dict[str, Any] = field(default_factory=dict)
     #: Sample the runnable-thread count every this many seconds
     #: (0 disables the sampler).
@@ -99,15 +99,11 @@ class ExperimentConfig:
     #: Head-based sampling probability for traced requests (drawn from
     #: the dedicated ``trace.sample`` RNG stream).
     trace_sample: float = 0.01
-    #: Slowest-request exemplar traces kept per request class.
-    trace_exemplars: int = 3
     #: Phase-annotated live telemetry (``repro.obs``): a simulated-time
     #: ticker samples gauge time-series (queue depths, hedge/retry
     #: rates, replica estimates, CPU run queue).  Observation-only —
     #: enabling it never changes any measured result.
     obs: bool = False
-    #: Telemetry sampling period [simulated s].
-    obs_period: float = 0.01
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -133,14 +129,18 @@ class ExperimentConfig:
             raise ValueError("concurrency must be >= 1")
         if self.users < 1:
             raise ValueError("users must be >= 1")
-        if self.think_time <= 0:
+        # Written as not (x > bound) so NaN fails too.
+        if not (self.think_time > 0):
             raise ValueError("think_time must be positive")
         if (self.lfan is None) != (self.sfan is None):
             raise ValueError("lfan and sfan must be set together")
         if self.lfan is not None and (self.lfan < 1 or self.sfan < 1):
             raise ValueError("lfan/sfan must be >= 1")
-        if self.duration <= 0 or self.warmup < 0:
-            raise ValueError("bad warmup/duration")
+        if not (0 < self.duration < math.inf
+                and 0 <= self.warmup < math.inf):
+            raise ValueError("need a finite duration > 0 and warmup >= 0")
+        if not (0 <= self.thread_sample_period < math.inf):
+            raise ValueError("thread_sample_period must be finite and >= 0")
         if self.replicas_per_shard < 1:
             raise ValueError("replicas_per_shard must be >= 1")
         if self.replica_policy not in REPLICA_POLICIES:
@@ -149,14 +149,10 @@ class ExperimentConfig:
                 f"valid: {', '.join(REPLICA_POLICIES)}")
         if self.racks < 1:
             raise ValueError("racks must be >= 1")
-        if self.cross_rack_extra_latency < 0:
+        if not (self.cross_rack_extra_latency >= 0):
             raise ValueError("cross_rack_extra_latency must be >= 0")
         if not 0.0 < self.trace_sample <= 1.0:
             raise ValueError("trace_sample must be in (0, 1]")
-        if self.trace_exemplars < 1:
-            raise ValueError("trace_exemplars must be >= 1")
-        if self.obs_period <= 0:
-            raise ValueError("obs_period must be positive")
         if not self.label:
             self.label = self.server
 

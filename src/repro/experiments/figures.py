@@ -29,7 +29,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
 from ..faults import FaultConfig, ResilienceConfig
-from ..obs import DEFAULT_OBS_PERIOD, prometheus_snapshot
+from ..obs import prometheus_snapshot
 from ..sim.params import KB
 from .config import ExperimentConfig, ExperimentResult
 from .parallel import iter_experiments
@@ -814,8 +814,8 @@ def _ewma_route_points(quick: bool, seed: int) -> Points:
         response_size=100, warmup=0.5, duration=duration, seed=seed,
         replicas_per_shard=2, racks=2, replica_policy=policy,
         cross_rack_extra_latency=0.5e-3,
-        trace=True, trace_sample=0.25, trace_exemplars=3,
-        keep_selector_stats=False, label=policy))
+        trace=True, trace_sample=0.25, keep_selector_stats=False,
+        label=policy))
         for policy in _EWMA_POLICIES]
 
 
@@ -879,8 +879,7 @@ def _adaptive_hedge_points(quick: bool, seed: int) -> Points:
     return [(label, _fault_point(
         "doubleface", policy, quick, seed,
         racks=2, cross_rack_extra_latency=0.5e-3,
-        trace=True, trace_sample=0.25, trace_exemplars=3,
-        label=label))
+        trace=True, trace_sample=0.25, label=label))
         for label, policy in _ADAPTIVE_HEDGE_POLICIES]
 
 
@@ -976,9 +975,7 @@ def _render(name: str, points: List[Tuple[Any, ExperimentConfig,
 def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
                  jobs: Optional[int] = 1,
                  trace: bool = False, trace_sample: float = 0.01,
-                 trace_exemplars: int = 3,
                  obs: bool = False,
-                 obs_period: float = DEFAULT_OBS_PERIOD,
                  on_result: Optional[Callable[[str, ExhibitResult], None]]
                  = None) -> Dict[str, ExhibitResult]:
     """Run exhibits by name; results keyed by name in the order given.
@@ -1003,8 +1000,8 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
     :func:`repro.trace.write_flame` for timelines and flame graphs).
 
     ``obs=True`` runs every point with the telemetry ticker sampling
-    gauges each ``obs_period`` simulated seconds (also
-    observation-only); per-point Prometheus snapshots land in
+    gauges every :data:`repro.obs.DEFAULT_OBS_PERIOD` simulated seconds
+    (also observation-only); per-point Prometheus snapshots land in
     ``result.data["prometheus"]``.
 
     A point that raises fails the whole run at once with a
@@ -1017,10 +1014,9 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
                              f"{sorted(EXHIBITS)}")
     overlay: Dict[str, Any] = {}
     if trace:
-        overlay.update(trace=True, trace_sample=trace_sample,
-                       trace_exemplars=trace_exemplars)
+        overlay.update(trace=True, trace_sample=trace_sample)
     if obs:
-        overlay.update(obs=True, obs_period=obs_period)
+        overlay.update(obs=True)
     owners: List[str] = []
     keys: List[Any] = []
     configs: List[ExperimentConfig] = []

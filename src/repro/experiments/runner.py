@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 from array import array
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
 from ..core.doubleface import DoubleFaceServer
@@ -49,10 +50,6 @@ def build_params(config: ExperimentConfig) -> CostParams:
         # HBase point reads traverse more layers (HFile blocks, region
         # server) than MongoDB's in-memory b-tree: slightly slower.
         overrides["point_lookup_mean"] = params.point_lookup_mean * 1.3
-    if config.type1_pool_size is not None:
-        overrides["type1_pool_size"] = config.type1_pool_size
-    if config.aio_pool_max is not None:
-        overrides["aio_pool_max"] = config.aio_pool_max
     overrides.update(config.params)
     if overrides:
         params = params.with_overrides(**overrides)
@@ -119,13 +116,6 @@ def _phase_hook(sim: Simulator, config: ExperimentConfig, faults):
     return phase_of
 
 
-def _thread_sampler(sim: Simulator, cpu, metrics: Metrics, period: float):
-    series = metrics.timeseries("cpu.runnable")
-    while True:
-        yield sim.timeout(period)
-        series.append(sim.now, cpu.runnable_count)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one configured experiment and return its measurements."""
     result = _simulate(config)
@@ -149,8 +139,7 @@ def _simulate(config: ExperimentConfig) -> ExperimentResult:
         # never perturbs any other stream's draw sequence — and an
         # untraced run creates no stream at all (byte-identical).
         sim.tracer = Tracer(rng.stream("trace.sample"),
-                            sample_rate=config.trace_sample,
-                            keep_exemplars=config.trace_exemplars)
+                            sample_rate=config.trace_sample)
         sim.tracer.flame = FlameAccumulator()
         sim.tracer.phase_of = _phase_hook(sim, config, faults)
     cluster = DatastoreCluster(
@@ -179,18 +168,22 @@ def _simulate(config: ExperimentConfig) -> ExperimentResult:
             config.think_time, rng)
     server.start()
     workload.start()
+    thread_times, thread_values = array("d"), array("d")
     if config.thread_sample_period > 0:
-        sim.process(_thread_sampler(sim, server.cpu, metrics,
-                                    config.thread_sample_period),
-                    name="thread-sampler")
+        cpu = server.cpu
+
+        def sample_threads(now: float) -> None:
+            thread_times.append(now)
+            thread_values.append(cpu.runnable_count)
+
+        sim.call_every(config.thread_sample_period, sample_threads)
     ticker = None
     if config.obs:
         # Observation-only: the ticker's events shift every later
         # event's sequence number uniformly, which preserves the
         # relative dispatch order of all simulation events — measured
         # results stay float-identical (asserted by tests).
-        ticker = TelemetryTicker(sim, metrics, server,
-                                 period=config.obs_period)
+        ticker = TelemetryTicker(sim, metrics, server)
         ticker.start()
 
     # Warm-up, then the measurement window.
@@ -213,11 +206,12 @@ def _simulate(config: ExperimentConfig) -> ExperimentResult:
             phases.extend(faults.realized_windows(end))
 
     return _collect(config, sim, metrics, server, load_end - load_start,
-                    ticker=ticker, phases=phases)
+                    (thread_times, thread_values), ticker=ticker,
+                    phases=phases)
 
 
 def _collect(config: ExperimentConfig, sim: Simulator, metrics: Metrics,
-             server, load_integral: float, ticker=None,
+             server, load_integral: float, thread_samples, ticker=None,
              phases=()) -> ExperimentResult:
     now = sim.now
     window = config.duration
@@ -236,10 +230,10 @@ def _collect(config: ExperimentConfig, sim: Simulator, metrics: Metrics,
         # The exhibit only reads the aggregates: don't ship the raw
         # dicts back through the worker-pool pickle.
         selector_stats = []
-    thread_times, thread_values = array("d"), array("d")
-    if "cpu.runnable" in metrics.series:
-        thread_times, thread_values = metrics.series["cpu.runnable"].columns(
-            metrics.window_start, now)
+    # The sampler appends in time order: cut [window_start, now).
+    times, values = thread_samples
+    lo = bisect_left(times, metrics.window_start)
+    hi = bisect_left(times, now)
     latency_times, latency_values = array("d"), array("d")
     if config.keep_latency_samples:
         latency_times, latency_values = rt.window_columns()
@@ -271,8 +265,8 @@ def _collect(config: ExperimentConfig, sim: Simulator, metrics: Metrics,
                         if k.startswith("pool.") and k.endswith(".spawned")),
         completed=metrics.count("client.completed"),
         window=window,
-        thread_times=thread_times,
-        thread_values=thread_values,
+        thread_times=times[lo:hi],
+        thread_values=values[lo:hi],
         latency_times=latency_times,
         latency_values=latency_values,
         fault_counters=fault_counters,

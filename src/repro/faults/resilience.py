@@ -102,10 +102,6 @@ class ResilienceConfig:
     #: the global window.
     digest_min_samples: int = 32
 
-    #: Route retries and hedges to the next replica (requires
-    #: ``replicas_per_shard > 1`` to have any effect).
-    failover: bool = True
-
     def __post_init__(self) -> None:
         # Written as not (x >= bound) so NaN fails too.
         if not (self.subquery_deadline >= 0):
@@ -199,11 +195,6 @@ class ResiliencePolicy:
         #: Attribution delay cache, (shard, replica) -> delay; dropped
         #: wholesale every REFRESH completions alongside the global one.
         self._hedge_by_key: Dict[Any, float] = {}
-        #: Lazily opened replica connections, keyed by
-        #: (primary connection id, shard, replica).  A replica
-        #: connection shares the primary's receive endpoint, so failover
-        #: responses surface exactly where primary responses do.
-        self._replica_conns: Dict[Any, Any] = {}
 
     # -- wiring -------------------------------------------------------------
 
@@ -362,13 +353,11 @@ class ResiliencePolicy:
     def _next_replica(self, tracker: _SubTracker) -> int:
         """Pick the replica for a retry/hedge of *tracker*'s sub-query.
 
-        With failover enabled the shared selector rotates away from the
-        *last* replica tried (so concurrent hedges spread over the
-        replica set instead of stampeding one sibling); without it the
-        resend goes back to the same replica.
+        The shared selector rotates away from the *last* replica tried
+        (so concurrent hedges spread over the replica set instead of
+        stampeding one sibling); with one replica per shard the resend
+        goes back to the same replica.
         """
-        if not self.config.failover:
-            return tracker.replica
         replica = self.selector.alternate(tracker.query.shard_id,
                                           tracker.replica)
         if replica != tracker.replica:
@@ -379,13 +368,8 @@ class ResiliencePolicy:
                   replica: int) -> None:
         conn = tracker.conn
         if replica != tracker.home_replica:
-            key = (conn.cid, query.shard_id, replica)
-            rconn = self._replica_conns.get(key)
-            if rconn is None:
-                rconn = self.cluster.connect_shard(query.shard_id, replica)
-                rconn.attach("a", conn.endpoint_a)
-                self._replica_conns[key] = rconn
-            conn = rconn
+            conn = self.cluster.replica_connection(
+                conn.endpoint_a, query.shard_id, replica)
         tracker.replica = replica
         conn.transmit(query, query.wire_size, to_side="b")
 

@@ -42,7 +42,9 @@ class FaultConfig:
     """Which faults to inject, and how hard.
 
     All durations are simulated seconds.  Every fault family is off by
-    default; a default-constructed config injects nothing.
+    default; a default-constructed config injects nothing.  Shard
+    slowdowns and crashes hit only replica 0 of each shard, so failover
+    targets stay healthy; rack slowdowns hit every replica in the rack.
     """
 
     #: Number of shards subject to slowdown windows.
@@ -85,10 +87,6 @@ class FaultConfig:
 
     #: Probability that any single app<->shard message is lost.
     loss_prob: float = 0.0
-
-    #: When False (default), faults hit only replica 0 of each shard, so
-    #: failover targets stay healthy; True degrades every replica.
-    all_replicas: bool = False
 
     def __post_init__(self) -> None:
         if self.slow_shards < 0 or self.crash_shards < 0:
@@ -229,22 +227,19 @@ class FaultSchedule:
             rng_streams.stream("faults.loss")
             if config.loss_prob > 0 else None)
 
-    def _applies(self, replica: int) -> bool:
-        return replica == 0 or self.config.all_replicas
-
     # -- shard-side hooks ---------------------------------------------------
 
     def service_multiplier(self, shard_id: int, replica: int,
                            now: float) -> float:
         """Service-time multiplier for a query served at *now*.
 
-        Combines the per-shard slowdown family (gated by the
-        ``all_replicas`` replica filter) with the rack family (which by
-        definition hits every replica placed in the rack); overlapping
+        Combines the per-shard slowdown family (which hits only replica
+        0, so failover targets stay healthy) with the rack family (which
+        by definition hits every replica placed in the rack); overlapping
         windows take the worse of the two factors.
         """
         multiplier = 1.0
-        if self._applies(replica):
+        if replica == 0:
             track = self._slow.get(shard_id)
             if track is not None and track.active(now):
                 multiplier = self.config.slow_factor
@@ -261,8 +256,11 @@ class FaultSchedule:
         return track is not None and track.active(now)
 
     def is_down(self, shard_id: int, replica: int, now: float) -> bool:
-        """True while the shard replica is crashed (queries are dropped)."""
-        if not self._applies(replica):
+        """True while the shard replica is crashed (queries are dropped).
+
+        Crashes hit only replica 0, so failover targets stay up.
+        """
+        if replica != 0:
             return False
         track = self._crash.get(shard_id)
         return track is not None and track.active(now)

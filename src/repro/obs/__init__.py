@@ -4,10 +4,10 @@ Where :mod:`repro.trace` records *per-request* span trees, this
 package watches the *system* over simulated time:
 
 - :mod:`repro.obs.timeline` — a :class:`TelemetryTicker` on the
-  simulation clock samples gauges (per-shard queue depths, hedge and
-  retry rates, replica routing state, CPU run-queue depth) into one
-  columnar :class:`~repro.sim.metrics.GaugeBoard` that rides on the
-  result;
+  simulation clock samples gauges every 10 ms (per-shard queue
+  depths, hedge and retry rates, replica routing state, CPU run-queue
+  depth) into one columnar :class:`~repro.sim.metrics.GaugeBoard`
+  that rides on the result;
 - :mod:`repro.obs.prometheus` — renders a finished run's end state
   (latency quantiles, counters, last gauge values, workload phases)
   in the Prometheus text exposition format.

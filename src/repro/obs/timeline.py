@@ -1,10 +1,10 @@
 """The simulated-time telemetry ticker.
 
-A :class:`TelemetryTicker` fires every ``period`` simulated seconds
-(via :meth:`Simulator.call_every`) and samples live gauges into one
-:class:`~repro.sim.metrics.GaugeBoard` — a shared time column plus one
-``array('d')`` value column per gauge, which a pooled run pickles as
-raw float bytes.
+A :class:`TelemetryTicker` fires every :data:`DEFAULT_OBS_PERIOD`
+simulated seconds (via :meth:`Simulator.call_every`) and samples live
+gauges into one :class:`~repro.sim.metrics.GaugeBoard` — a shared time
+column plus one ``array('d')`` value column per gauge, which a pooled
+run pickles as raw float bytes.
 
 Determinism contract (the same one :mod:`repro.trace` keeps):
 
@@ -37,8 +37,8 @@ from ..sim.metrics import GaugeBoard, Metrics
 
 __all__ = ["TelemetryTicker", "DEFAULT_OBS_PERIOD"]
 
-#: Default sampling period [simulated s]: 10 ms — ~100 samples over a
-#: quick exhibit window, a few hundred floats per gauge.
+#: Sampling period [simulated s]: 10 ms — ~100 samples over a quick
+#: exhibit window, a few hundred floats per gauge.
 DEFAULT_OBS_PERIOD = 0.01
 
 
@@ -50,13 +50,9 @@ class TelemetryTicker:
     started once; the tick chain ends with the run.
     """
 
-    def __init__(self, sim: Simulator, metrics: Metrics, server,
-                 period: float = DEFAULT_OBS_PERIOD) -> None:
-        if period <= 0.0:
-            raise ValueError(f"obs period must be positive, got {period}")
+    def __init__(self, sim: Simulator, metrics: Metrics, server) -> None:
         self.sim = sim
         self.metrics = metrics
-        self.period = period
         self._cpu = server.cpu
         cluster = server.cluster
         self._replica_sets = cluster.replica_sets
@@ -83,14 +79,14 @@ class TelemetryTicker:
         self._last_hedges = 0.0
 
     def start(self) -> None:
-        """Begin ticking at ``now + period``."""
-        self.sim.call_every(self.period, self._tick)
+        """Begin ticking one period from now."""
+        self.sim.call_every(DEFAULT_OBS_PERIOD, self._tick)
 
     def _tick(self, now: float) -> None:
         metrics = self.metrics
         retries = metrics.raw_count("resilience.retries")
         hedges = metrics.raw_count("resilience.hedges")
-        per_sec = 1.0 / self.period
+        per_sec = 1.0 / DEFAULT_OBS_PERIOD
         values: List[float] = [
             float(self._cpu.runnable_count),
             (retries - self._last_retries) * per_sec,

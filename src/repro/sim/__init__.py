@@ -12,9 +12,9 @@ Layers (bottom-up):
   — measurement, cost calibration, deterministic randomness.
 """
 
-from .kernel import (AllOf, AnyOf, CountdownLatch, Event, Process,
+from .kernel import (AllOf, CountdownLatch, Event, Process,
                      SimulationError, Simulator, Timeout)
-from .metrics import CpuAccounting, LatencyRecorder, Metrics, TimeSeries
+from .metrics import CpuAccounting, LatencyRecorder, Metrics
 from .params import KB, CostParams
 from .resources import Queue, QueueTimeout, Semaphore, queue_get_with_timeout
 from .rng import RngStreams, lognormal_from_mean_cv
@@ -24,9 +24,9 @@ from .syscalls import Channel, Selector
 from .network import ChannelEndpoint, Connection, Endpoint, InboxEndpoint, QueueEndpoint
 
 __all__ = [
-    "AllOf", "AnyOf", "CountdownLatch", "Event", "Process",
+    "AllOf", "CountdownLatch", "Event", "Process",
     "SimulationError", "Simulator",
-    "Timeout", "CpuAccounting", "LatencyRecorder", "Metrics", "TimeSeries",
+    "Timeout", "CpuAccounting", "LatencyRecorder", "Metrics",
     "KB", "CostParams", "Queue", "QueueTimeout", "Semaphore",
     "queue_get_with_timeout", "RngStreams", "lognormal_from_mean_cv", "Cpu",
     "FixedPool", "Mutex", "OnDemandPool", "SimThread", "locked_section",

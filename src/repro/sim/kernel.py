@@ -58,7 +58,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "AllOf",
     "CountdownLatch",
     "Simulator",
@@ -145,8 +144,8 @@ class Event:
         """Callback form of :meth:`succeed`: adopt *other*'s value if
         this event is still pending.
 
-        Lets a :class:`Timeout` race a pending event without an
-        :class:`AnyOf` allocation::
+        Lets a :class:`Timeout` race a pending event with no race
+        event of its own::
 
             timer.add_callback(waiter._succeed_from)
         """
@@ -288,34 +287,6 @@ class Process(Event):
         return f"<Process {self.name} alive={self.is_alive}>"
 
 
-class AnyOf(Event):
-    """Triggers when the first of *events* triggers.
-
-    The value is the (event, value) pair of the winner.  Late triggers of
-    the remaining events are ignored.
-    """
-
-    __slots__ = ("_done",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._done = False
-        events = list(events)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        for event in events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._done:
-            return
-        self._done = True
-        if event._exception is not None:
-            self.fail(event._exception)
-        else:
-            self.succeed((event, event._value))
-
-
 class CountdownLatch(Event):
     """A fixed-width fanout completion latch.
 
@@ -430,10 +401,6 @@ class Simulator:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start driving *generator* as a process."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event triggering on the first of *events*."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event triggering once all *events* have triggered."""

@@ -1,5 +1,5 @@
 """Measurement infrastructure: counters, CPU accounting, latency
-recorders, and time series.
+recorders, and the telemetry gauge board.
 
 A single :class:`Metrics` object is shared by every component of a
 simulation run.  Components record into namespaced keys
@@ -16,7 +16,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Metrics", "Counter", "CpuCharger", "LatencyRecorder",
-           "TimeSeries", "CpuAccounting"]
+           "CpuAccounting"]
 
 
 class LatencyRecorder:
@@ -28,23 +28,21 @@ class LatencyRecorder:
     Every sample is stored in two flat ``array('d')`` columns (times,
     values) — samples are columnar at collection time, so a pooled
     result pickles them as raw float bytes without a per-sample
-    conversion pass.  Simulation time is monotone, so the
-    window cut is a ``bisect`` over the time column (a linear-scan
-    fallback covers hand-built recorders that append out of order).
-    Queries share one sorted copy of the windowed values, rebuilt only
-    when a sample lands or ``start_at`` moves since the last query, so
-    ``cdf_points`` over six percentiles costs one sort instead of six
-    and ``record`` stays bare appends.
+    conversion pass.  Samples must arrive in time order (:meth:`record`
+    raises otherwise, like :meth:`GaugeBoard.append`), so the window cut
+    is a ``bisect`` over the time column.  Queries share one sorted copy
+    of the windowed values, rebuilt only when a sample lands or
+    ``start_at`` moves since the last query, so ``cdf_points`` over six
+    percentiles costs one sort instead of six and ``record`` stays one
+    order check and two appends.
     """
 
-    __slots__ = ("_times", "_values", "_last_time", "_monotone",
-                 "start_at", "_cache", "_cache_len", "_cache_start")
+    __slots__ = ("_times", "_values", "start_at", "_cache", "_cache_len",
+                 "_cache_start")
 
     def __init__(self) -> None:
         self._times = array("d")
         self._values = array("d")
-        self._last_time = -math.inf
-        self._monotone = True
         self.start_at = 0.0
         self._cache: Optional[List[float]] = None
         self._cache_len = -1
@@ -52,20 +50,15 @@ class LatencyRecorder:
 
     def record(self, now: float, value: float) -> None:
         """Record *value* observed at simulated time *now*."""
-        if now < self._last_time:
-            self._monotone = False
-        else:
-            self._last_time = now
-        self._times.append(now)
+        times = self._times
+        if times and now < times[-1]:
+            raise ValueError("latency samples must be recorded in time order")
+        times.append(now)
         self._values.append(value)
 
     def _window_lo(self) -> int:
         """Index of the first sample inside the measurement window."""
-        if self._monotone:
-            return bisect.bisect_left(self._times, self.start_at)
-        # Out-of-order appends (hand-built recorders only): no index
-        # structure holds, fall back to a full scan via window_columns.
-        return -1
+        return bisect.bisect_left(self._times, self.start_at)
 
     def _window_sorted(self) -> List[float]:
         """Sorted windowed values; cached until the inputs change."""
@@ -73,32 +66,17 @@ class LatencyRecorder:
         if (self._cache is not None and self._cache_len == n
                 and self._cache_start == self.start_at):
             return self._cache
-        start = self.start_at
-        lo = self._window_lo()
-        if lo >= 0:
-            values = sorted(self._values[lo:])
-        else:
-            values = sorted(v for (t, v) in zip(self._times, self._values)
-                            if t >= start)
+        values = sorted(self._values[self._window_lo():])
         self._cache = values
         self._cache_len = n
-        self._cache_start = start
+        self._cache_start = self.start_at
         return values
 
     def window_columns(self) -> Tuple[array, array]:
         """The windowed samples as flat ``array('d')`` (times, values)
         columns in arrival order — the view the result carries."""
         lo = self._window_lo()
-        if lo >= 0:
-            return self._times[lo:], self._values[lo:]
-        start = self.start_at
-        times = array("d")
-        values = array("d")
-        for t, v in zip(self._times, self._values):
-            if t >= start:
-                times.append(t)
-                values.append(v)
-        return times, values
+        return self._times[lo:], self._values[lo:]
 
     def __len__(self) -> int:
         return len(self._window_sorted())
@@ -145,61 +123,12 @@ class LatencyRecorder:
         return [(q, self.percentile(q)) for q in percentiles]
 
 
-class TimeSeries:
-    """Append-only (time, value) series, e.g. running-thread counts.
-
-    Backed by two flat ``array('d')`` columns so a window is a pair of
-    ``bisect`` cuts plus buffer slices — :meth:`columns` hands the raw
-    slices to the result with no per-sample conversion.
-    """
-
-    __slots__ = ("_times", "_values")
-
-    def __init__(self) -> None:
-        self._times = array("d")
-        self._values = array("d")
-
-    def append(self, now: float, value: float) -> None:
-        if self._times and now < self._times[-1]:
-            raise ValueError("time series must be appended in time order")
-        self._times.append(now)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def items(self) -> List[Tuple[float, float]]:
-        return list(zip(self._times, self._values))
-
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """Samples with start <= t < end."""
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
-        return list(zip(self._times[lo:hi], self._values[lo:hi]))
-
-    def columns(self, start: float = 0.0,
-                end: float = math.inf) -> Tuple[array, array]:
-        """The ``start <= t < end`` window as flat ``array('d')``
-        (times, values) columns — same cut as :meth:`window`, no
-        tuple boxing."""
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
-        return self._times[lo:hi], self._values[lo:hi]
-
-    def mean(self, start: float = 0.0, end: float = math.inf) -> float:
-        pairs = self.window(start, end)
-        if not pairs:
-            return math.nan
-        return sum(v for (_t, v) in pairs) / len(pairs)
-
-
 class GaugeBoard:
     """Columnar multi-gauge store: many gauges sampled at the same
     ticks share one time column.
 
-    Where :class:`TimeSeries` pairs one time column with one value
-    column, the telemetry ticker samples tens of gauges at every tick —
-    a shared time column plus one ``array('d')`` value column per gauge
+    The telemetry ticker samples tens of gauges at every tick — a
+    shared time column plus one ``array('d')`` value column per gauge
     keeps that O(gauges) floats per tick with no per-sample boxing, and
     the columns ride on the result as-is.
     """
@@ -393,7 +322,6 @@ class Metrics:
         self._handles: Dict[str, Counter] = {}
         self._warmup_counters: Dict[str, float] = {}
         self.latencies: Dict[str, LatencyRecorder] = {}
-        self.series: Dict[str, TimeSeries] = {}
         self.cpu = CpuAccounting()
         self.window_start = 0.0
 
@@ -429,7 +357,7 @@ class Metrics:
         handle = self._handles.get(name)
         return handle.value if handle is not None else 0.0
 
-    # -- latencies / series ----------------------------------------------
+    # -- latencies ---------------------------------------------------------
 
     def latency(self, name: str) -> LatencyRecorder:
         recorder = self.latencies.get(name)
@@ -438,13 +366,6 @@ class Metrics:
             recorder.start_at = self.window_start
             self.latencies[name] = recorder
         return recorder
-
-    def timeseries(self, name: str) -> TimeSeries:
-        series = self.series.get(name)
-        if series is None:
-            series = TimeSeries()
-            self.series[name] = series
-        return series
 
     # -- windowing --------------------------------------------------------
 

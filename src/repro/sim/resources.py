@@ -102,7 +102,7 @@ def queue_get_with_timeout(sim: Simulator, queue: Queue, timeout: float):
     Use with ``yield from``.  A timed-out get leaves the queue in a
     consistent state: a later ``put`` skips the abandoned getter.
 
-    The race is run without an :class:`AnyOf`: the idle timer succeeds
+    The race needs no race event of its own: the idle timer succeeds
     the pending getter directly with a sentinel, and when the item wins
     instead the timer is lazily cancelled (idle timers are far-future
     entries; cancelling beats letting them fire).

@@ -148,9 +148,9 @@ class Selector:
                     thread, self.params.select_base_cost, "select")
                 # (If data raced in during the probe, the waiter has
                 # already been triggered and the wait below is instant.)
-                # Race the poll timer against readiness without an AnyOf
-                # allocation: the timer succeeds the pending waiter
-                # directly, and loses by lazy cancellation.
+                # Race the poll timer against readiness with no race
+                # event of its own: the timer succeeds the pending
+                # waiter directly, and loses by lazy cancellation.
                 timer = self.sim.timeout(timeout)
                 timer.add_callback(waiter._succeed_from)
                 yield waiter

@@ -268,7 +268,7 @@ class OnDemandPool(_PoolBase):
     """JVM-style on-demand pool (the Type-2b AIO driver's executor).
 
     A new worker is spawned when a task is submitted and no worker is
-    idle (up to *max_size*); spawning charges
+    idle (up to :attr:`CostParams.aio_pool_max`); spawning charges
     :attr:`CostParams.thread_spawn_cost` as ``thread_init`` CPU, the
     overhead perf attributes to "thread initiation" in Table 1.  Workers
     terminate after :attr:`CostParams.aio_pool_idle_timeout` idle.
@@ -278,13 +278,10 @@ class OnDemandPool(_PoolBase):
                  "_spawned", "_terminated")
 
     def __init__(self, sim: Simulator, cpu: Cpu, metrics: Metrics,
-                 params: CostParams, max_size: Optional[int] = None,
-                 idle_timeout: Optional[float] = None,
-                 name: str = "ondemand") -> None:
+                 params: CostParams, name: str = "ondemand") -> None:
         super().__init__(sim, cpu, metrics, params, name)
-        self.max_size = max_size if max_size is not None else params.aio_pool_max
-        self.idle_timeout = (idle_timeout if idle_timeout is not None
-                             else params.aio_pool_idle_timeout)
+        self.max_size = params.aio_pool_max
+        self.idle_timeout = params.aio_pool_idle_timeout
         self._worker_seq = itertools.count(1)
         self._spawned = metrics.counter(f"pool.{name}.spawned")
         self._terminated = metrics.counter(f"pool.{name}.terminated")

@@ -63,6 +63,9 @@ KIND_NAMES = (
 FLAG_DROPPED = 1       # the message was dropped in transit (fault)
 FLAG_SYNTHESIZED = 2   # synthesized failed=True response (no real wire)
 
+#: Slowest exemplar traces kept per request class.
+EXEMPLARS = 3
+
 #: A span record, as stored on a :class:`Trace` — a plain tuple, kept
 #: as a named alias for annotation purposes only.
 Span = Tuple[float, float, float, float, float, float, float, float, float]
@@ -127,7 +130,7 @@ class Trace:
 
 class _ClassAgg:
     """Per-request-class aggregates: counts, category sums, and the
-    top-K slowest exemplar traces (a min-heap on rt)."""
+    :data:`EXEMPLARS` slowest exemplar traces (a min-heap on rt)."""
 
     __slots__ = ("count", "rt_sum", "sums", "heap")
 
@@ -148,15 +151,11 @@ class Tracer:
     a pure function of the seed.
     """
 
-    def __init__(self, rng, sample_rate: float = 0.01,
-                 keep_exemplars: int = 3) -> None:
+    def __init__(self, rng, sample_rate: float = 0.01) -> None:
         if not 0.0 < sample_rate <= 1.0:
             raise ValueError("sample_rate must be in (0, 1]")
-        if keep_exemplars < 1:
-            raise ValueError("keep_exemplars must be >= 1")
         self._rng = rng
         self.sample_rate = sample_rate
-        self.keep_exemplars = keep_exemplars
         self.kinds: List[SpanKind] = []
         self._kind_index: Dict[str, SpanKind] = {}
         for name in KIND_NAMES:
@@ -224,7 +223,7 @@ class Tracer:
             sums[cat] += value
         heapq.heappush(agg.heap, (rt, self._finish_seq, trace))
         self._finish_seq += 1
-        if len(agg.heap) > self.keep_exemplars:
+        if len(agg.heap) > EXEMPLARS:
             heapq.heappop(agg.heap)
         if self.flame is not None:
             phase = (self.phase_of(trace.start)

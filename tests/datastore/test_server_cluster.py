@@ -1,9 +1,12 @@
 """Integration-flavoured tests for shard servers and the cluster."""
 
+import types
+
 import pytest
 
 from repro.datastore.cluster import DatastoreCluster
 from repro.datastore.records import RecordSchema
+from repro.faults import HEDGE_ATTEMPT
 from repro.messages import Query
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
@@ -176,16 +179,6 @@ class TestCrossRackLatency:
             assert cluster.connection_latency(shard, far) == \
                 pytest.approx(base + extra)
 
-    def test_app_rack_moves_the_near_side(self, env):
-        extra = 1e-3
-        cluster = make_cluster(env, n_shards=2, replicas_per_shard=2,
-                               racks=2, cross_rack_extra_latency=extra,
-                               app_rack=1)
-        base = CostParams().net_latency
-        # Shard 0: replica 1 is in rack 1, now local to the app.
-        assert cluster.connection_latency(0, 1) == base
-        assert cluster.connection_latency(0, 0) == pytest.approx(base + extra)
-
     def test_replica_index_wraps(self, env):
         extra = 1e-3
         cluster = make_cluster(env, n_shards=2, replicas_per_shard=2,
@@ -203,6 +196,52 @@ class TestCrossRackLatency:
         with pytest.raises(ValueError):
             make_cluster(env, n_shards=2, cross_rack_extra_latency=-1.0)
         with pytest.raises(ValueError):
-            make_cluster(env, n_shards=2, racks=2, app_rack=2)
-        with pytest.raises(ValueError):
-            make_cluster(env, n_shards=2, racks=2, app_rack=-1)
+            make_cluster(env, n_shards=2,
+                         cross_rack_extra_latency=float("nan"))
+
+
+class TestReplicaConnection:
+    def test_routed_send_and_hedge_share_one_connection(self, env,
+                                                        monkeypatch):
+        """A routed initial send and a hedge to the same replica, both
+        answering on one endpoint, travel on one connection: the
+        cluster keeps the single replica-connection cache."""
+        from repro.drivers.threadbased import ThreadBasedServer
+        from repro.faults import ResilienceConfig, ResiliencePolicy
+        from repro.sim.network import Connection
+
+        sim, metrics, params, rng = env
+        cluster = make_cluster(env, n_shards=2, replicas_per_shard=2,
+                               replica_policy="round_robin")
+        policy = ResiliencePolicy(sim, metrics,
+                                  ResilienceConfig(hedge_delay=1e-3), rng,
+                                  cluster)
+        server = ThreadBasedServer(sim, metrics, params, cluster, rng,
+                                   resilience=policy)
+        primary = cluster.connect_shard(0)
+        primary.attach("a", _Sink(Queue(sim)))
+        used = []
+        transmit = Connection.transmit
+
+        def spy(conn, message, size, to_side):
+            if to_side == "b":  # requests only, not the shard's responses
+                used.append((conn, getattr(message, "attempt", None)))
+            transmit(conn, message, size, to_side)
+
+        monkeypatch.setattr(Connection, "transmit", spy)
+
+        def query(seq):
+            return Query(request_id=1, shard_id=0, op="get",
+                         response_size=100, seq=seq)
+
+        # round_robin: the first pick is the primary, the second replica 1.
+        assert server.route_initial(query(0), primary) == (primary, 0)
+        routed, replica = server.route_initial(query(1), primary)
+        assert replica == 1 and routed is not primary
+        # The hedge of a sub-query sent to the primary goes to replica 1.
+        state = types.SimpleNamespace(trace=None)
+        policy.attach(state)
+        policy.arm(state, query(2), primary, 0)
+        sim.run(until=2e-3)
+        hedges = [conn for conn, attempt in used if attempt == HEDGE_ATTEMPT]
+        assert hedges == [routed]

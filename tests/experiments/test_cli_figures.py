@@ -75,16 +75,14 @@ class TestObservabilityFlags:
         args = build_parser().parse_args([])
         assert args.flame_out is None
         assert not args.obs
-        assert args.obs_period == 0.01
         assert args.prom_out is None
 
     def test_flags(self):
         args = build_parser().parse_args(
             ["--trace", "--flame-out", "/tmp/f.collapsed", "--obs",
-             "--obs-period", "0.02", "--prom-out", "/tmp/p.txt"])
+             "--prom-out", "/tmp/p.txt"])
         assert args.flame_out == "/tmp/f.collapsed"
         assert args.obs
-        assert args.obs_period == 0.02
         assert args.prom_out == "/tmp/p.txt"
 
     def test_flame_out_requires_trace(self, capsys):
@@ -93,12 +91,6 @@ class TestObservabilityFlags:
 
     def test_prom_out_requires_obs(self, capsys):
         assert main(["--exhibit", "tab2", "--prom-out", "/tmp/p"]) == 2
-
-    def test_bad_obs_period_exit_code(self, capsys):
-        assert main(["--exhibit", "tab2", "--obs",
-                     "--obs-period", "0"]) == 2
-        assert main(["--exhibit", "tab2", "--obs",
-                     "--obs-period", "-0.5"]) == 2
 
     def test_artifacts_written_with_parent_dirs(self, tmp_path, capsys):
         """End to end: one observed exhibit, all three exporters, every

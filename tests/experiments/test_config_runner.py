@@ -34,6 +34,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(duration=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("think_time", math.nan),
+        ("warmup", math.nan),
+        ("warmup", math.inf),
+        ("duration", math.nan),
+        ("duration", math.inf),
+        ("cross_rack_extra_latency", math.nan),
+        ("thread_sample_period", math.nan),
+        ("thread_sample_period", math.inf),
+        ("thread_sample_period", -0.1),
+    ])
+    def test_non_finite_and_negative_rejected(self, field, value):
+        """NaN passes ``x <= 0`` style guards, an infinite duration never
+        ends, and a negative sample period was silently ignored."""
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{field: value})
+
     def test_build_params_overrides(self):
         config = ExperimentConfig(params={"app_cores": 4,
                                           "request_cpu": 1e-3})
@@ -47,8 +64,8 @@ class TestExperimentConfig:
         assert hbase.point_lookup_mean > mongo.point_lookup_mean
 
     def test_pool_size_plumbing(self):
-        params = build_params(ExperimentConfig(type1_pool_size=8,
-                                               aio_pool_max=9))
+        params = build_params(ExperimentConfig(
+            params={"type1_pool_size": 8, "aio_pool_max": 9}))
         assert params.type1_pool_size == 8
         assert params.aio_pool_max == 9
 
@@ -118,6 +135,8 @@ class TestRunExperiment:
                                   thread_sample_period=0.01)
         result = run_experiment(config)
         assert len(result.thread_samples) >= 25
+        # Only the measurement window [warmup, warmup + duration).
+        assert all(0.1 <= t < 0.4 for t, _n in result.thread_samples)
 
     def test_selector_stats_present_for_reactor_servers(self):
         config = ExperimentConfig(server="netty", concurrency=5,

@@ -44,11 +44,15 @@ class FakeCluster:
     def __init__(self, replicas_per_shard=2):
         self.replicas_per_shard = replicas_per_shard
         self.opened = []
+        self._conns = {}
 
-    def connect_shard(self, shard_id, replica=0):
-        conn = FakeConn()
-        self.opened.append((shard_id, replica))
-        return conn
+    def replica_connection(self, endpoint, shard_id, replica):
+        key = (endpoint, shard_id, replica)
+        if key not in self._conns:
+            conn = self._conns[key] = FakeConn()
+            conn.attach("a", endpoint)
+            self.opened.append((shard_id, replica))
+        return self._conns[key]
 
 
 class FakeState:
@@ -181,21 +185,6 @@ class TestDeadlineRetry:
         # Absorbing the synthetic response marks the request degraded.
         assert policy.on_response(state, synth)
         assert state.failed == 1
-
-    def test_no_failover_keeps_primary(self):
-        config = ResilienceConfig(subquery_deadline=1e-3, max_retries=1,
-                                  backoff_base=0.2e-3, backoff_cap=0.4e-3,
-                                  backoff_jitter=0.0, failover=False)
-        sim, metrics, cluster, policy = make_policy(config)
-        state = FakeState()
-        policy.attach(state)
-        conn = FakeConn()
-        query = make_query(context=state)
-        policy.arm(state, query, conn)
-        sim.run(until=2e-3)
-        assert len(conn.sent) == 1  # resend went back to the primary
-        assert cluster.opened == []
-        assert metrics.raw_count("resilience.failovers") == 0
 
 
 class TestHedging:

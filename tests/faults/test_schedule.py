@@ -201,16 +201,8 @@ class TestFaultSchedule:
         assert hit == sched.slow_ids
         for shard_id in sched.slow_ids:
             assert sched.service_multiplier(shard_id, 0, now) == 50.0
-            # Replica 1 stays healthy unless all_replicas is set.
+            # Replica 1 stays healthy: shard faults hit replica 0 only.
             assert sched.service_multiplier(shard_id, 1, now) == 1.0
-
-    def test_all_replicas_degrades_every_replica(self):
-        config = FaultConfig(slow_shards=1, slow_factor=50.0,
-                             slow_mean_on=10.0, slow_mean_off=0.01,
-                             all_replicas=True)
-        sched = self._schedule(config)
-        shard_id = sched.slow_ids[0]
-        assert sched.service_multiplier(shard_id, 1, 5.0) == 50.0
 
     def test_crash_windows(self):
         config = FaultConfig(crash_shards=1, crash_mtbf=0.01,
@@ -272,8 +264,8 @@ class TestRackFaults:
 
     def test_rack_fault_hits_every_replica_in_the_rack(self):
         """The defining property of the correlated family: replica
-        filtering (``all_replicas=False``) does NOT protect replicas
-        placed in a degraded rack."""
+        filtering (shard faults hit replica 0 only) does NOT protect
+        replicas placed in a degraded rack."""
         sched = self._schedule(self.ALWAYS_ON)
         rack = sched.rack_ids[0]
         now = 5.0

@@ -22,8 +22,7 @@ def _base(seed=17, **kw):
 
 
 def _observed(config):
-    return replace(config, trace=True, trace_sample=0.5, obs=True,
-                   obs_period=0.01)
+    return replace(config, trace=True, trace_sample=0.5, obs=True)
 
 
 def _faulted(seed=17):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.kernel import (AllOf, AnyOf, Event, Process, SimulationError,
+from repro.sim.kernel import (AllOf, Event, Process, SimulationError,
                               Simulator, Timeout)
 
 
@@ -187,23 +187,6 @@ class TestProcess:
 
 
 class TestAnyOfAllOf:
-    def test_any_of_returns_first(self, sim):
-        fast = sim.timeout(1.0, value="fast")
-        slow = sim.timeout(2.0, value="slow")
-
-        def proc():
-            winner, value = yield sim.any_of([slow, fast])
-            return value
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == "fast"
-        assert sim.now == 2.0  # slow timeout still fires
-
-    def test_any_of_empty_rejected(self, sim):
-        with pytest.raises(ValueError):
-            AnyOf(sim, [])
-
     def test_all_of_collects_in_order(self, sim):
         a = sim.timeout(2.0, value="a")
         b = sim.timeout(1.0, value="b")

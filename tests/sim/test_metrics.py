@@ -6,8 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.metrics import (CpuAccounting, LatencyRecorder, Metrics,
-                               TimeSeries)
+from repro.sim.metrics import CpuAccounting, LatencyRecorder, Metrics
 
 
 class TestLatencyRecorder:
@@ -97,8 +96,8 @@ class TestLatencyRecorder:
 
 
 class TestColumnarBuffers:
-    """The array-backed storage behind LatencyRecorder/TimeSeries: the
-    columnar views must cut the same window the scalar queries do."""
+    """The array-backed storage behind LatencyRecorder: the columnar
+    views must cut the same window the scalar queries do."""
 
     def test_window_columns_arrival_order(self):
         r = LatencyRecorder()
@@ -113,69 +112,17 @@ class TestColumnarBuffers:
         times, values = LatencyRecorder().window_columns()
         assert len(times) == 0 and len(values) == 0
 
-    def test_non_monotone_record_falls_back_to_scan(self):
-        """Hand-built recorders may append out of time order; the
-        bisect window cut only holds for monotone times, so the
-        recorder must detect the disorder and still answer every
-        query from a full scan."""
+    def test_out_of_order_record_rejected(self):
+        """The bisect window cut needs samples in time order, so an
+        earlier time is refused and leaves the recorder unchanged."""
         r = LatencyRecorder()
-        samples = [(3.0, 30.0), (1.0, 10.0), (4.0, 40.0), (2.0, 20.0)]
-        for t, v in samples:
-            r.record(t, v)
-        r.start_at = 2.0
-        reference = sorted(v for (t, v) in samples if t >= 2.0)
-        assert r._window_sorted() == reference
-        assert len(r) == 3
-        assert r.maximum() == 40.0
-        assert r.mean() == pytest.approx(sum(reference) / 3)
-        times, values = r.window_columns()
-        assert list(zip(times, values)) == [(3.0, 30.0), (4.0, 40.0),
-                                            (2.0, 20.0)]
-
-
-class TestTimeSeries:
-    def test_append_and_window(self):
-        ts = TimeSeries()
-        for t in range(5):
-            ts.append(float(t), float(t * 10))
-        assert len(ts) == 5
-        assert ts.window(1.0, 3.0) == [(1.0, 10.0), (2.0, 20.0)]
-
-    def test_window_out_of_window_edges(self):
-        """Regression for the bisect cut: boundaries are start <= t <
-        end, and windows entirely before/after the data are empty
-        rather than wrapping or raising."""
-        ts = TimeSeries()
-        for t in (1.0, 2.0, 3.0):
-            ts.append(t, t * 10)
-        assert ts.window(0.0, 0.5) == []
-        assert ts.window(3.5, 9.0) == []
-        assert ts.window(2.0, 2.0) == []
-        assert ts.window(1.0, 3.0) == [(1.0, 10.0), (2.0, 20.0)]
-        assert ts.window(0.0, 99.0) == [(1.0, 10.0), (2.0, 20.0),
-                                        (3.0, 30.0)]
-
-    def test_columns_match_window(self):
-        ts = TimeSeries()
-        for t in range(5):
-            ts.append(float(t), float(t * 10))
-        times, values = ts.columns(1.0, 3.0)
-        assert list(zip(times, values)) == ts.window(1.0, 3.0)
-        all_times, all_values = ts.columns()
-        assert len(all_times) == len(ts) == len(all_values)
-
-    def test_out_of_order_rejected(self):
-        ts = TimeSeries()
-        ts.append(1.0, 1.0)
+        r.record(1.0, 10.0)
+        r.record(1.0, 11.0)  # equal times are in order
         with pytest.raises(ValueError):
-            ts.append(0.5, 2.0)
-
-    def test_mean(self):
-        ts = TimeSeries()
-        ts.append(0.0, 2.0)
-        ts.append(1.0, 4.0)
-        assert ts.mean() == pytest.approx(3.0)
-        assert math.isnan(ts.mean(10.0, 20.0))
+            r.record(0.5, 5.0)
+        assert r.raw_count == 2
+        times, values = r.window_columns()
+        assert list(zip(times, values)) == [(1.0, 10.0), (1.0, 11.0)]
 
 
 class TestCpuAccounting:
@@ -252,11 +199,6 @@ class TestMetrics:
         recorder.record(0.5, 10.0)
         m.mark_window_start(1.0)
         assert len(recorder) == 0
-
-    def test_timeseries_identity(self):
-        m = Metrics()
-        assert m.timeseries("a") is m.timeseries("a")
-        assert m.timeseries("a") is not m.timeseries("b")
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),

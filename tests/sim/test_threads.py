@@ -159,7 +159,8 @@ class TestFixedPool:
 class TestOnDemandPool:
     def test_spawns_on_demand(self, env):
         sim, metrics, params, cpu = env
-        pool = OnDemandPool(sim, cpu, metrics, params, max_size=8, name="od")
+        pool = OnDemandPool(sim, cpu, metrics,
+                            params.with_overrides(aio_pool_max=8), name="od")
         submitter = SimThread(cpu, "sub")
         assert pool.worker_count == 0
 
@@ -177,7 +178,8 @@ class TestOnDemandPool:
 
     def test_spawn_charges_thread_init(self, env):
         sim, metrics, params, cpu = env
-        pool = OnDemandPool(sim, cpu, metrics, params, max_size=8, name="od")
+        pool = OnDemandPool(sim, cpu, metrics,
+                            params.with_overrides(aio_pool_max=8), name="od")
         submitter = SimThread(cpu, "sub")
 
         def task(worker):
@@ -193,8 +195,8 @@ class TestOnDemandPool:
 
     def test_idle_workers_terminate(self, env):
         sim, metrics, params, cpu = env
-        pool = OnDemandPool(sim, cpu, metrics, params, max_size=8,
-                            idle_timeout=0.01, name="od")
+        pool = OnDemandPool(sim, cpu, metrics, params.with_overrides(
+            aio_pool_max=8, aio_pool_idle_timeout=0.01), name="od")
         submitter = SimThread(cpu, "sub")
 
         def task(worker):
@@ -210,7 +212,8 @@ class TestOnDemandPool:
 
     def test_max_size_respected(self, env):
         sim, metrics, params, cpu = env
-        pool = OnDemandPool(sim, cpu, metrics, params, max_size=2, name="od")
+        pool = OnDemandPool(sim, cpu, metrics,
+                            params.with_overrides(aio_pool_max=2), name="od")
         submitter = SimThread(cpu, "sub")
 
         def task(worker):
@@ -226,8 +229,8 @@ class TestOnDemandPool:
 
     def test_idle_worker_reused_not_respawned(self, env):
         sim, metrics, params, cpu = env
-        pool = OnDemandPool(sim, cpu, metrics, params, max_size=8,
-                            idle_timeout=1.0, name="od")
+        pool = OnDemandPool(sim, cpu, metrics, params.with_overrides(
+            aio_pool_max=8, aio_pool_idle_timeout=1.0), name="od")
         submitter = SimThread(cpu, "sub")
 
         def task(worker):

@@ -28,6 +28,7 @@ from repro.experiments.parallel import run_experiments
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig, ResilienceConfig
 from repro.trace import CATEGORIES, additivity_residual
+from repro.trace.spans import EXEMPLARS
 
 
 def _config(server="doubleface", **kw):
@@ -71,8 +72,7 @@ class TestObservationOnly:
 
 class TestWorkerDeterminism:
     def _grid(self):
-        return [_config(server, trace=True, trace_sample=0.5,
-                        trace_exemplars=2)
+        return [_config(server, trace=True, trace_sample=0.5)
                 for server in ("doubleface", "netty", "aio")]
 
     def test_jobs4_shm_equals_serial(self, monkeypatch):
@@ -101,8 +101,7 @@ class TestRealTraceAdditivity:
                                         "type1", "threadbased"])
     def test_exemplars_resubtract_to_exact_zero(self, server):
         result = run_experiment(_config(server, trace=True,
-                                        trace_sample=1.0,
-                                        trace_exemplars=5))
+                                        trace_sample=1.0))
         summary = result.trace_summary
         checked = 0
         for entry in summary["classes"].values():
@@ -137,7 +136,7 @@ class TestFaultTailAttribution:
         result = run_experiment(_config(
             concurrency=16, fanout=5, duration=0.8, faults=faults,
             resilience=resilience, replicas_per_shard=2, trace=True,
-            trace_sample=1.0, trace_exemplars=5))
+            trace_sample=1.0))
         # Not vacuous: the resilience machinery fired.  (Since the
         # per-attempt latency fix the learned hedge converges near the
         # healthy percentile, so hedges rescue slow sub-queries before
@@ -146,7 +145,7 @@ class TestFaultTailAttribution:
         assert result.fault_counters.get("resilience.hedge_wins", 0) > 0
         p99 = result.percentiles[99.0]
         exemplars = result.trace_summary["classes"]["default"]["exemplars"]
-        assert len(exemplars) == 5
+        assert len(exemplars) == EXEMPLARS
         slowest = exemplars[0]
         assert slowest["rt"] >= p99
         # The critical sub-query needed more than one wire attempt, and

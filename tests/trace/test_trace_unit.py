@@ -20,6 +20,7 @@ from repro.trace import (CATEGORIES, FLAG_SYNTHESIZED, KIND_NAMES,
                          K_SELECTOR_WAIT, K_SERVER_QUEUE, K_SERVICE,
                          Trace, Tracer, additivity_residual, attribute,
                          build_summary, chrome_trace)
+from repro.trace.spans import EXEMPLARS
 
 
 class TestTracer:
@@ -28,8 +29,6 @@ class TestTracer:
             Tracer(random.Random(1), sample_rate=0.0)
         with pytest.raises(ValueError):
             Tracer(random.Random(1), sample_rate=1.5)
-        with pytest.raises(ValueError):
-            Tracer(random.Random(1), keep_exemplars=0)
 
     def test_kinds_preinterned_in_declared_order(self):
         tracer = Tracer(random.Random(1))
@@ -62,12 +61,13 @@ class TestTracer:
         assert agg.rt_sum == 0.010
 
     def test_exemplar_heap_keeps_slowest(self):
-        tracer = Tracer(random.Random(1), sample_rate=1.0,
-                        keep_exemplars=2)
-        for i, rt in enumerate([0.005, 0.050, 0.001, 0.030]):
+        tracer = Tracer(random.Random(1), sample_rate=1.0)
+        for i, rt in enumerate([0.005, 0.050, 0.001, 0.030, 0.020]):
             tracer.finish(tracer.begin("default", now=float(i)), rt=rt)
         exemplars = tracer.exemplars("default")
-        assert [t.rt for t in exemplars] == [0.050, 0.030]  # slowest first
+        assert EXEMPLARS == 3
+        # The three slowest, slowest first.
+        assert [t.rt for t in exemplars] == [0.050, 0.030, 0.020]
 
     def test_reset_clears_aggregates_keeps_stamps(self):
         tracer = Tracer(random.Random(1), sample_rate=1.0)
@@ -197,12 +197,11 @@ def test_additivity_is_float_exact_on_random_traces(spans, rt, crit_seq,
     assert additivity_residual(rt, breakdown) == 0.0  # exact, not approx
 
 
-def _synthetic_tracer(seed=5, n=40, keep=3):
+def _synthetic_tracer(seed=5, n=40):
     """A tracer filled with randomized finished traces (plain seeded
     loop; mirrors what a real run produces, minus the simulator)."""
     rng = random.Random(seed)
-    tracer = Tracer(random.Random(seed + 1), sample_rate=0.5,
-                    keep_exemplars=keep)
+    tracer = Tracer(random.Random(seed + 1), sample_rate=0.5)
     for i in range(n):
         klass = rng.choice(["lfan", "sfan"])
         start = rng.uniform(0.0, 5.0)
