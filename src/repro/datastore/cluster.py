@@ -156,10 +156,6 @@ class DatastoreCluster:
             self._replica_conns[key] = conn
         return conn
 
-    def connect_all(self) -> List[Connection]:
-        """One connection per shard, in shard order."""
-        return [self.connect_shard(i) for i in range(self.n_shards)]
-
     def load(self, items: Iterable[Tuple[str, bytes]]) -> int:
         """Materialise *items* across shards by hash; returns count."""
         count = 0

@@ -15,8 +15,8 @@ import random
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["HashPartitioner", "pick_fanout_shards", "failover_replica",
-           "rack_of", "ReplicaSelector", "REPLICA_POLICIES"]
+__all__ = ["HashPartitioner", "pick_fanout_shards", "rack_of",
+           "ReplicaSelector", "REPLICA_POLICIES"]
 
 
 class HashPartitioner:
@@ -54,21 +54,6 @@ def pick_fanout_shards(rng: random.Random, n_shards: int, fanout: int) -> List[i
     if fanout == n_shards:
         return list(range(n_shards))
     return rng.sample(range(n_shards), fanout)
-
-
-def failover_replica(attempt: int, replicas_per_shard: int) -> int:
-    """Replica index for the *attempt*-th resend of a sub-query.
-
-    Rotates through the replica set — attempt 1 goes to replica 1,
-    attempt ``replicas_per_shard`` wraps back to the primary — so
-    repeated retries do not camp on a single backup.  With one replica
-    everything stays on the primary.
-    """
-    if attempt < 0:
-        raise ValueError("attempt must be >= 0")
-    if replicas_per_shard < 1:
-        raise ValueError("need at least one replica per shard")
-    return attempt % replicas_per_shard
 
 
 def rack_of(shard_id: int, replica: int, racks: int) -> int:

@@ -48,7 +48,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
-from ..datastore.sharding import ReplicaSelector
 from ..messages import Query, QueryResponse
 from ..sim.kernel import Simulator
 from ..sim.metrics import Metrics
@@ -171,16 +170,9 @@ class ResiliencePolicy:
         self.metrics = metrics
         self.config = config
         self.cluster = cluster
-        self.replicas = getattr(cluster, "replicas_per_shard", 1)
         #: Replica selector shared with the drivers' initial sends, so
         #: hedges/retries see the same in-flight counts the router does.
-        #: Clusters always carry one; the fallback keeps bare test stubs
-        #: working and rotates hedge targets instead of stampeding
-        #: replica 1.
-        selector = getattr(cluster, "replica_selector", None)
-        if selector is None:
-            selector = ReplicaSelector("round_robin", self.replicas)
-        self.selector = selector
+        self.selector = cluster.replica_selector
         self._rng: random.Random = rng_streams.stream("resilience.jitter")
         self._window: List[float] = []
         self._window_pos = 0

@@ -15,7 +15,6 @@ Endpoints abstract *how the receiver learns about the message*:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from .cpu import Cpu
@@ -29,8 +28,6 @@ from ..trace import (FLAG_DROPPED, K_INBOX_WAIT, K_NET_REQUEST,
                      K_NET_RESPONSE)
 
 __all__ = ["Endpoint", "ChannelEndpoint", "QueueEndpoint", "InboxEndpoint", "Connection"]
-
-_conn_ids = itertools.count(1)
 
 
 class Endpoint:
@@ -128,7 +125,7 @@ class Connection:
     kernel crossing the paper counts among driver overheads.
     """
 
-    __slots__ = ("sim", "metrics", "params", "latency", "cid",
+    __slots__ = ("sim", "metrics", "params", "latency",
                  "endpoint_a", "endpoint_b", "faults",
                  "_messages", "_bytes")
 
@@ -141,7 +138,6 @@ class Connection:
         self.metrics = metrics
         self.params = params
         self.latency = latency if latency is not None else params.net_latency
-        self.cid = next(_conn_ids)
         self.endpoint_a = endpoint_a
         self.endpoint_b = endpoint_b
         #: Optional :class:`~repro.faults.FaultSchedule`: links wired to
@@ -181,7 +177,7 @@ class Connection:
         """
         target = self.endpoint_b if to_side == "b" else self.endpoint_a
         if target is None:
-            raise RuntimeError(f"connection {self.cid}: side {to_side} not attached")
+            raise RuntimeError(f"connection side {to_side!r} not attached")
         self._messages.add()
         self._bytes.add(size)
         if to_side == "b":

@@ -21,7 +21,6 @@ through the ``timeout`` argument.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
@@ -33,8 +32,6 @@ from .threads import SimThread
 from ..trace import K_HANDOFF, K_SELECTOR_WAIT
 
 __all__ = ["Channel", "Selector", "ReadyEvent"]
-
-_channel_ids = itertools.count(1)
 
 #: A readiness event handed to the reactor: (channel, message).
 ReadyEvent = Tuple["Channel", Any]
@@ -48,20 +45,19 @@ class Channel:
     to dispatch the event (a connection object, a request, ...).
     """
 
-    __slots__ = ("selector", "kind", "context", "cid")
+    __slots__ = ("selector", "kind", "context")
 
     def __init__(self, selector: "Selector", kind: str, context: Any = None) -> None:
         self.selector = selector
         self.kind = kind
         self.context = context
-        self.cid = next(_channel_ids)
 
     def deliver(self, message: Any) -> None:
         """Called by the network (or a poster) when data arrives."""
         self.selector._enqueue(self, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Channel {self.kind}#{self.cid}>"
+        return f"<Channel {self.kind}>"
 
 
 class Selector:

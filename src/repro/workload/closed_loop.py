@@ -10,9 +10,6 @@ no CPU cost in the simulation.
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
-
 from ..drivers.base import AppServer
 from ..messages import HttpResponse
 from ..sim.kernel import Simulator
@@ -23,7 +20,7 @@ from ..sim.resources import Queue
 from ..sim.rng import RngStreams
 from .profiles import WorkloadProfile
 
-__all__ = ["ClosedLoopWorkload"]
+__all__ = ["ClosedLoopWorkload", "ResponseRecorder"]
 
 
 class ClosedLoopWorkload:
@@ -44,13 +41,7 @@ class ClosedLoopWorkload:
         self.name = name
         self._rng = rng_streams.stream(f"{name}.requests")
         self.started = False
-        # Interned per-completion instruments; the per-class ones are
-        # interned on first use so recorder creation order (and with it
-        # per-class report order) is unchanged.
-        self._completed = metrics.counter("client.completed")
-        self._rt = metrics.latency("client.rt")
-        self._completed_by_klass: dict = {}
-        self._rt_by_klass: dict = {}
+        self._record = ResponseRecorder(sim, metrics).record
 
     def start(self) -> None:
         """Open one connection per user and launch the user loops."""
@@ -82,7 +73,29 @@ class ClosedLoopWorkload:
                 raise TypeError(f"client received non-response: {response!r}")
             self._record(request, response)
 
-    def _record(self, request, response: HttpResponse) -> None:
+
+class ResponseRecorder:
+    """Records each client response, for both workload generators.
+
+    Finishes the request's trace and feeds the ``client.completed`` and
+    ``client.rt`` instruments, overall and per request class.  The
+    per-class instruments are interned on first use, so their creation
+    order (and with it the per-class report order) follows the order in
+    which classes first complete.
+    """
+
+    __slots__ = ("sim", "metrics", "_completed", "_rt",
+                 "_completed_by_klass", "_rt_by_klass")
+
+    def __init__(self, sim: Simulator, metrics: Metrics) -> None:
+        self.sim = sim
+        self.metrics = metrics
+        self._completed = metrics.counter("client.completed")
+        self._rt = metrics.latency("client.rt")
+        self._completed_by_klass: dict = {}
+        self._rt_by_klass: dict = {}
+
+    def record(self, request, response: HttpResponse) -> None:
         now = self.sim.now
         rt = now - request.sent_at
         klass = request.klass

@@ -7,6 +7,13 @@ each user as think-time-driven — after receiving a response the user
 waits an exponentially distributed think time before the next request —
 which yields Poisson aggregate arrivals while retaining the per-user
 closed feedback RUBBoS has.
+
+A user costs nothing until it first arrives.  :meth:`PoissonWorkload.start`
+accepts every connection and draws every first-arrival offset up front,
+in user order, then walks the arrivals sorted by ``(offset, user_id)``
+with one pending :meth:`~repro.sim.kernel.Simulator.call_at` entry: each
+step builds the next user's inbox and starts its loop.  Users due after
+the run ends are never built.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from ..sim.network import QueueEndpoint
 from ..sim.params import CostParams
 from ..sim.resources import Queue
 from ..sim.rng import RngStreams
+from .closed_loop import ResponseRecorder
 from .profiles import WorkloadProfile
 
 __all__ = ["PoissonWorkload"]
@@ -46,12 +54,10 @@ class PoissonWorkload:
         self._rng = rng_streams.stream(f"{name}.requests")
         self._think_rng = rng_streams.stream(f"{name}.think")
         self.started = False
-        # Interned per-completion instruments; per-class ones stay
-        # first-use ordered (see ClosedLoopWorkload).
-        self._completed = metrics.counter("client.completed")
-        self._rt = metrics.latency("client.rt")
-        self._completed_by_klass: dict = {}
-        self._rt_by_klass: dict = {}
+        self._record = ResponseRecorder(sim, metrics).record
+        #: Users not yet arrived, as ``(offset, user_id, conn)`` sorted
+        #: so the next one to arrive is last.
+        self._arrivals: list = []
 
     @property
     def offered_rate(self) -> float:
@@ -63,16 +69,34 @@ class PoissonWorkload:
         if self.started:
             raise RuntimeError("workload already started")
         self.started = True
-        for user_id in range(self.users):
-            conn = self.server.accept_client()
-            inbox = Queue(self.sim)
-            conn.attach("a", QueueEndpoint(inbox))
-            self.sim.process(self._user_loop(user_id, conn, inbox),
-                             name=f"{self.name}-user-{user_id}")
+        # Accept stays eager and in user order: DoubleFace assigns
+        # reactors round-robin by accept order, and the thread-based
+        # server starts one thread per accepted connection at t=0.  The
+        # first-arrival offsets desynchronise session starts across one
+        # full think period.
+        think_rng = self._think_rng
+        arrivals = [(think_rng.random() * self.think_time_mean, user_id,
+                     self.server.accept_client())
+                    for user_id in range(self.users)]
+        # user_id is unique, so equal offsets launch in user order and
+        # connections are never compared.
+        arrivals.sort(reverse=True)
+        self._arrivals = arrivals
+        self.sim.call_at(arrivals[-1][0], self._arrive)
 
-    def _user_loop(self, user_id: int, conn, inbox: Queue):
-        # Desynchronise session starts across one full think period.
-        yield self.sim.timeout(self._think_rng.random() * self.think_time_mean)
+    def _arrive(self, _arg) -> None:
+        """Build the next user, start its loop and book the arrival
+        after it, at the exact drawn offset."""
+        arrivals = self._arrivals
+        _offset, user_id, conn = arrivals.pop()
+        inbox = Queue(self.sim)
+        conn.attach("a", QueueEndpoint(inbox))
+        self.sim.process(self._user_loop(conn, inbox),
+                         name=f"{self.name}-user-{user_id}")
+        if arrivals:
+            self.sim.call_at(arrivals[-1][0], self._arrive)
+
+    def _user_loop(self, conn, inbox: Queue):
         while True:
             request = self.profile.make_request(self._rng)
             tracer = self.sim.tracer
@@ -84,24 +108,6 @@ class PoissonWorkload:
             response = yield inbox.get()
             if not isinstance(response, HttpResponse):
                 raise TypeError(f"client received non-response: {response!r}")
-            now = self.sim.now
-            rt = now - request.sent_at
-            klass = request.klass
-            if response.trace is not None and self.sim.tracer is not None:
-                # Exactly the recorded response-time float (see
-                # ClosedLoopWorkload._record).
-                self.sim.tracer.finish(response.trace, rt)
-            self._completed.add()
-            by_klass = self._completed_by_klass.get(klass)
-            if by_klass is None:
-                by_klass = self.metrics.counter(f"client.completed.{klass}")
-                self._completed_by_klass[klass] = by_klass
-            by_klass.add()
-            self._rt.record(now, rt)
-            rt_rec = self._rt_by_klass.get(klass)
-            if rt_rec is None:
-                rt_rec = self.metrics.latency(f"client.rt.{klass}")
-                self._rt_by_klass[klass] = rt_rec
-            rt_rec.record(now, rt)
+            self._record(request, response)
             yield self.sim.timeout(
                 self._think_rng.expovariate(1.0 / self.think_time_mean))

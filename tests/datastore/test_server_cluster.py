@@ -143,11 +143,6 @@ class TestCluster:
             shard = cluster.partitioner.shard_for(key)
             assert cluster.shards[shard].store.get(key) == b"x"
 
-    def test_connect_all(self, env):
-        cluster = make_cluster(env, n_shards=5)
-        conns = cluster.connect_all()
-        assert len(conns) == 5
-
     def test_deterministic_given_seed(self, env):
         sim, metrics, params, _rng = env
         a = DatastoreCluster(sim, metrics, params, RngStreams(9), n_shards=5)

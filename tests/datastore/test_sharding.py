@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.datastore.sharding import (HashPartitioner, REPLICA_POLICIES,
-                                      ReplicaSelector, failover_replica,
-                                      pick_fanout_shards, rack_of)
+                                      ReplicaSelector, pick_fanout_shards,
+                                      rack_of)
 
 
 class TestHashPartitioner:
@@ -83,21 +83,6 @@ def test_partitioner_split_is_a_partition(keys, n_shards):
     buckets = p.split(keys)
     flattened = [k for bucket in buckets for k in bucket]
     assert sorted(flattened) == sorted(keys)
-
-
-class TestFailoverReplica:
-    def test_single_replica_always_primary(self):
-        for attempt in range(5):
-            assert failover_replica(attempt, 1) == 0
-
-    def test_rotation_wraps(self):
-        assert [failover_replica(a, 3) for a in range(6)] == [0, 1, 2, 0, 1, 2]
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            failover_replica(-1, 2)
-        with pytest.raises(ValueError):
-            failover_replica(0, 0)
 
 
 class TestRackOf:

@@ -8,6 +8,7 @@ cover the policy wired into real servers.
 
 import pytest
 
+from repro.datastore.sharding import ReplicaSelector
 from repro.faults import HEDGE_ATTEMPT, ResilienceConfig, ResiliencePolicy
 from repro.messages import Query, QueryResponse
 from repro.sim.kernel import Simulator
@@ -26,10 +27,7 @@ class FakeEndpoint:
 
 
 class FakeConn:
-    _ids = iter(range(1, 10_000))
-
     def __init__(self):
-        self.cid = next(self._ids)
         self.endpoint_a = FakeEndpoint()
         self.sent = []
 
@@ -42,7 +40,8 @@ class FakeConn:
 
 class FakeCluster:
     def __init__(self, replicas_per_shard=2):
-        self.replicas_per_shard = replicas_per_shard
+        self.replica_selector = ReplicaSelector("round_robin",
+                                                replicas_per_shard)
         self.opened = []
         self._conns = {}
 
