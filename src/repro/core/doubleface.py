@@ -84,7 +84,6 @@ class DoubleFaceServer(AppServer):
             raise ValueError("need at least one reactor")
         self.scheduler = scheduler if scheduler is not None else FanoutAwareScheduler()
         self.reactors: List[Reactor] = [Reactor(self, i) for i in range(count)]
-        self._next_reactor = 0
         self.handlers: Dict[str, EventHandler] = {
             "upstream": FrontendHandler(business_logic=business_logic),
             "downstream": BackendHandler(),
@@ -112,9 +111,10 @@ class DoubleFaceServer(AppServer):
     def selectors(self):
         return [reactor.selector for reactor in self.reactors]
 
-    def accept_client(self) -> Connection:
-        reactor = self.reactors[self._next_reactor]
-        self._next_reactor = (self._next_reactor + 1) % len(self.reactors)
+    def accept_client(self, client: int) -> Connection:
+        # Round-robin by client ordinal: the same spread as by accept
+        # order, whenever and in whatever order clients connect.
+        reactor = self.reactors[client % len(self.reactors)]
         reactor.upstream_count += 1
         conn = Connection(self.sim, self.metrics, self.params)
         channel = reactor.selector.open_channel("upstream", context=conn)

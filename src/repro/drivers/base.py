@@ -146,8 +146,10 @@ class AppServer:
 
     # -- to be provided by subclasses ------------------------------------
 
-    def accept_client(self) -> Connection:
-        """Open an upstream connection; the client attaches side ``a``."""
+    def accept_client(self, client: int) -> Connection:
+        """Open an upstream connection for client ordinal *client*
+        (0-based, unique per workload); the client attaches side
+        ``a``."""
         raise NotImplementedError
 
     def start(self) -> None:

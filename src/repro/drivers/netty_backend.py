@@ -68,7 +68,7 @@ class NettyBackendServer(AppServer):
     def selectors(self):
         return [self.frontend_selector] + list(self.backend_selectors)
 
-    def accept_client(self) -> Connection:
+    def accept_client(self, client: int) -> Connection:
         conn = Connection(self.sim, self.metrics, self.params)
         channel = self.frontend_selector.open_channel("upstream", context=conn)
         conn.attach("b", ChannelEndpoint(channel))

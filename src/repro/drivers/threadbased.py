@@ -35,12 +35,12 @@ class ThreadBasedServer(AppServer):
     def start(self) -> None:
         """Nothing to launch: workers spawn per accepted connection."""
 
-    def accept_client(self) -> Connection:
+    def accept_client(self, client: int) -> Connection:
         conn = Connection(self.sim, self.metrics, self.params)
         inbox = InboxEndpoint(self.sim, self.cpu, self.params)
         conn.attach("b", inbox)
         self.worker_threads += 1
-        thread = SimThread(self.cpu, name=f"{self.name}-conn-{self.worker_threads}")
+        thread = SimThread(self.cpu, name=f"{self.name}-conn-{client}")
         self.sim.process(self._conn_loop(thread, conn, inbox), name=thread.name)
         return conn
 

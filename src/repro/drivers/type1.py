@@ -47,7 +47,7 @@ class Type1AsyncServer(AppServer):
     def selectors(self):
         return [self.frontend_selector]
 
-    def accept_client(self) -> Connection:
+    def accept_client(self, client: int) -> Connection:
         conn = Connection(self.sim, self.metrics, self.params)
         channel = self.frontend_selector.open_channel("upstream", context=conn)
         conn.attach("b", ChannelEndpoint(channel))

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..datastore.sharding import REPLICA_POLICIES
 from ..faults import FaultConfig, ResilienceConfig
+from ..sim.params import CostParams
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "SERVER_KINDS",
            "DATASTORE_KINDS"]
@@ -23,6 +24,14 @@ __all__ = ["ExperimentConfig", "ExperimentResult", "SERVER_KINDS",
 #: Server architectures the runner can build.
 SERVER_KINDS = ("threadbased", "type1", "aio", "netty", "doubleface",
                 "doubleface-fifo")
+
+#: Numeric :class:`CostParams` fields an override must keep above zero:
+#: a zero time slice never advances the clock, and zero cores, service
+#: slots, pool threads, batch size or bandwidth leave nothing to do the
+#: work.
+_POSITIVE_PARAMS = frozenset({
+    "app_cores", "quantum", "ctx_cache_threads", "netty_select_max_batch",
+    "net_bandwidth", "shard_concurrency", "type1_pool_size", "aio_pool_max"})
 
 #: Datastore families.  They differ only in what the paper's testbed
 #: differed in: DynamoDB is the remote (Amazon) cluster, HBase's
@@ -153,8 +162,36 @@ class ExperimentConfig:
             raise ValueError("cross_rack_extra_latency must be >= 0")
         if not 0.0 < self.trace_sample <= 1.0:
             raise ValueError("trace_sample must be in (0, 1]")
+        _check_param_overrides(self.params)
         if not self.label:
             self.label = self.server
+
+
+def _check_param_overrides(overrides: Dict[str, Any]) -> None:
+    """Reject ``params`` overrides that would fail or hang only once the
+    run starts: unknown names, and numeric values that are not finite,
+    negative, fractional for an integer field, or zero where
+    :data:`_POSITIVE_PARAMS` needs more."""
+    defaults = {f.name: f.default for f in fields(CostParams)}
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown CostParams field(s) in params: "
+                         f"{', '.join(unknown)}")
+    for name, value in overrides.items():
+        default = defaults[name]
+        if isinstance(default, bool) or not isinstance(default, (int, float)):
+            continue
+        kind = int if isinstance(default, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"params[{name!r}] must be "
+                             f"{'an integer' if kind is int else 'a number'}"
+                             f", got {value!r}")
+        # A chained comparison, so NaN fails too.
+        if not (0 <= value < math.inf):
+            raise ValueError(f"params[{name!r}] must be finite and >= 0, "
+                             f"got {value!r}")
+        if name in _POSITIVE_PARAMS and value == 0:
+            raise ValueError(f"params[{name!r}] must be > 0, got {value!r}")
 
 
 def _empty_column() -> array:

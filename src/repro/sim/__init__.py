@@ -21,7 +21,7 @@ from .rng import RngStreams, lognormal_from_mean_cv
 from .cpu import Cpu
 from .threads import FixedPool, Mutex, OnDemandPool, SimThread, locked_section
 from .syscalls import Channel, Selector
-from .network import ChannelEndpoint, Connection, Endpoint, InboxEndpoint, QueueEndpoint
+from .network import ChannelEndpoint, Connection, Endpoint, InboxEndpoint
 
 __all__ = [
     "AllOf", "CountdownLatch", "Event", "Process",
@@ -31,5 +31,5 @@ __all__ = [
     "queue_get_with_timeout", "RngStreams", "lognormal_from_mean_cv", "Cpu",
     "FixedPool", "Mutex", "OnDemandPool", "SimThread", "locked_section",
     "Channel", "Selector", "ChannelEndpoint", "Connection", "Endpoint",
-    "InboxEndpoint", "QueueEndpoint",
+    "InboxEndpoint",
 ]

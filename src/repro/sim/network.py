@@ -10,7 +10,10 @@ Endpoints abstract *how the receiver learns about the message*:
 - :class:`ChannelEndpoint` feeds a reactor's :class:`~repro.sim.syscalls.Selector`
   (asynchronous servers).
 - :class:`InboxEndpoint` feeds a blocking queue read by a dedicated
-  thread (thread-based servers, datastore shards).
+  thread (thread-based servers, the synchronous driver connection pool).
+
+Nodes whose CPU is not modelled (datastore shards, workload clients)
+implement :class:`Endpoint` themselves and act inside ``deliver``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .threads import SimThread
 from ..trace import (FLAG_DROPPED, K_INBOX_WAIT, K_NET_REQUEST,
                      K_NET_RESPONSE)
 
-__all__ = ["Endpoint", "ChannelEndpoint", "QueueEndpoint", "InboxEndpoint", "Connection"]
+__all__ = ["Endpoint", "ChannelEndpoint", "InboxEndpoint", "Connection"]
 
 
 class Endpoint:
@@ -47,22 +50,6 @@ class ChannelEndpoint(Endpoint):
 
     def deliver(self, message: Any) -> None:
         self.channel.deliver(message)
-
-
-class QueueEndpoint(Endpoint):
-    """Delivers inbound messages to a plain queue with no CPU charge.
-
-    Used for nodes whose CPU is not modelled (the client machines of the
-    workload generator).
-    """
-
-    __slots__ = ("queue",)
-
-    def __init__(self, queue: Queue) -> None:
-        self.queue = queue
-
-    def deliver(self, message: Any) -> None:
-        self.queue.put(message)
 
 
 class InboxEndpoint(Endpoint):
@@ -161,8 +148,7 @@ class Connection:
              to_side: str):
         """Coroutine: send *message* of *size* bytes toward *to_side*.
 
-        Pass ``thread=None`` to skip the sender CPU charge (used by the
-        workload generator, whose client machines are not modelled).
+        Pass ``thread=None`` to skip the sender CPU charge.
         """
         if thread is not None:
             yield thread.execute(self.params.send_syscall_cost, "syscall")
@@ -171,9 +157,10 @@ class Connection:
     def transmit(self, message: Any, size: int, to_side: str) -> None:
         """Put *message* on the wire with no sender CPU charge.
 
-        This is the non-coroutine half of :meth:`send`; the resilience
-        policy's watchdog callbacks use it directly for retries and
-        hedges (timer context, no simulated thread to charge).
+        This is the non-coroutine half of :meth:`send`.  Senders with no
+        simulated thread to charge call it directly: shards and clients,
+        whose CPU is not modelled, and the resilience policy's watchdog
+        callbacks for retries and hedges.
         """
         target = self.endpoint_b if to_side == "b" else self.endpoint_a
         if target is None:

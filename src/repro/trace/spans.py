@@ -160,11 +160,10 @@ class Tracer:
         self._kind_index: Dict[str, SpanKind] = {}
         for name in KIND_NAMES:
             self.kind(name)
-        # Message -> stamp maps for open wait/arrival intervals.  Keyed
-        # by id(): entries are written and popped, never iterated, so
-        # CPython id values cannot influence any simulation result.
+        # Message -> stamp map for open wait intervals.  Keyed by id():
+        # entries are written and popped, never iterated, so CPython id
+        # values cannot influence any simulation result.
         self._wait_stamp: Dict[int, float] = {}
-        self._arrive_stamp: Dict[int, float] = {}
         self.window_start = 0.0
         self.sampled = 0
         self._next_request_id = 0
@@ -263,12 +262,6 @@ class Tracer:
 
     def pop_wait(self, message: Any) -> Optional[float]:
         return self._wait_stamp.pop(id(message), None)
-
-    def stamp_arrival(self, message: Any, now: float) -> None:
-        self._arrive_stamp[id(message)] = now
-
-    def pop_arrival(self, message: Any) -> Optional[float]:
-        return self._arrive_stamp.pop(id(message), None)
 
     # -- inspection --------------------------------------------------------
 

@@ -5,18 +5,21 @@ end-user: each user issues the next HTTP request *immediately* after
 receiving the previous response, so the number of users equals the
 workload concurrency exactly (Section 2.2).  Client machines are not
 modelled (JMeter ran on its own node), so client-side operations carry
-no CPU cost in the simulation.
+no CPU cost in the simulation, and a user is a plain callback endpoint
+rather than a simulated process: each response is recorded and the next
+request sent from inside its delivery.
 """
 
 from __future__ import annotations
 
+from typing import Any, Optional
+
 from ..drivers.base import AppServer
-from ..messages import HttpResponse
+from ..messages import HttpRequest, HttpResponse
 from ..sim.kernel import Simulator
 from ..sim.metrics import Metrics
-from ..sim.network import QueueEndpoint
+from ..sim.network import Connection, Endpoint
 from ..sim.params import CostParams
-from ..sim.resources import Queue
 from ..sim.rng import RngStreams
 from .profiles import WorkloadProfile
 
@@ -44,34 +47,58 @@ class ClosedLoopWorkload:
         self._record = ResponseRecorder(sim, metrics).record
 
     def start(self) -> None:
-        """Open one connection per user and launch the user loops."""
+        """Open one connection per user and book each user's first
+        request."""
         if self.started:
             raise RuntimeError("workload already started")
         self.started = True
+        rng = self._rng
         for user_id in range(self.concurrency):
-            conn = self.server.accept_client()
-            inbox = Queue(self.sim)
-            conn.attach("a", QueueEndpoint(inbox))
-            self.sim.process(self._user_loop(user_id, conn, inbox),
-                             name=f"{self.name}-user-{user_id}")
+            user = ClientUser(self, self.server.accept_client(user_id))
+            # Stagger the very first request of each user by a tiny
+            # random offset so the initial burst does not arrive at one
+            # instant.
+            self.sim.call_later(rng.random() * 1.0e-3, ClientUser.send, user)
 
-    def _user_loop(self, user_id: int, conn, inbox: Queue):
-        # Stagger the very first request of each user by a tiny random
-        # offset so the initial burst does not arrive at one instant.
-        yield self.sim.timeout(self._rng.random() * 1.0e-3)
-        while True:
-            request = self.profile.make_request(self._rng)
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.sample():
-                request.trace = tracer.begin(request.klass, self.sim.now)
-            request.sent_at = self.sim.now
-            # Client machines are unmodelled: a thread-less send never
-            # yields, so skip the generator frame and transmit directly.
-            conn.transmit(request, request.wire_size, "b")
-            response = yield inbox.get()
-            if not isinstance(response, HttpResponse):
-                raise TypeError(f"client received non-response: {response!r}")
-            self._record(request, response)
+    def _respond(self, user: ClientUser, response: HttpResponse) -> None:
+        self._record(user.request, response)
+        user.send()
+
+
+class ClientUser(Endpoint):
+    """One client user, attached to side ``a`` of its connection.
+
+    Used by both workload generators.  Every response goes to the
+    workload's ``_respond(user, response)``, which records it and sends
+    or books the user's next request.
+    """
+
+    __slots__ = ("workload", "conn", "request")
+
+    def __init__(self, workload: Any, conn: Connection) -> None:
+        self.workload = workload
+        self.conn = conn
+        #: The request in flight (None before the first send).
+        self.request: Optional[HttpRequest] = None
+        conn.attach("a", self)
+
+    def deliver(self, message: Any) -> None:
+        if not isinstance(message, HttpResponse):
+            raise TypeError(f"client received non-response: {message!r}")
+        self.workload._respond(self, message)
+
+    def send(self) -> None:
+        """Draw the next request from the workload's request stream and
+        put it on the wire (client machines are unmodelled: no CPU)."""
+        workload = self.workload
+        sim = workload.sim
+        request = workload.profile.make_request(workload._rng)
+        tracer = sim.tracer
+        if tracer is not None and tracer.sample():
+            request.trace = tracer.begin(request.klass, sim.now)
+        request.sent_at = sim.now
+        self.request = request
+        self.conn.transmit(request, request.wire_size, "b")
 
 
 class ResponseRecorder:

@@ -9,11 +9,13 @@ which yields Poisson aggregate arrivals while retaining the per-user
 closed feedback RUBBoS has.
 
 A user costs nothing until it first arrives.  :meth:`PoissonWorkload.start`
-accepts every connection and draws every first-arrival offset up front,
-in user order, then walks the arrivals sorted by ``(offset, user_id)``
-with one pending :meth:`~repro.sim.kernel.Simulator.call_at` entry: each
-step builds the next user's inbox and starts its loop.  Users due after
-the run ends are never built.
+draws every first-arrival offset up front, in user order, then walks the
+arrivals sorted by ``(offset, user_id)`` with one pending
+:meth:`~repro.sim.kernel.Simulator.call_at` entry: each step accepts the
+next user's connection and sends its first request.  Users due after the
+run ends are never built.  A user is a plain callback endpoint, not a
+simulated process: each response is recorded and the next send booked
+after an exponential think time, from inside its delivery.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from ..drivers.base import AppServer
 from ..messages import HttpResponse
 from ..sim.kernel import Simulator
 from ..sim.metrics import Metrics
-from ..sim.network import QueueEndpoint
 from ..sim.params import CostParams
-from ..sim.resources import Queue
 from ..sim.rng import RngStreams
-from .closed_loop import ResponseRecorder
+from .closed_loop import ClientUser, ResponseRecorder
 from .profiles import WorkloadProfile
 
 __all__ = ["PoissonWorkload"]
@@ -55,8 +55,8 @@ class PoissonWorkload:
         self._think_rng = rng_streams.stream(f"{name}.think")
         self.started = False
         self._record = ResponseRecorder(sim, metrics).record
-        #: Users not yet arrived, as ``(offset, user_id, conn)`` sorted
-        #: so the next one to arrive is last.
+        #: Users not yet arrived, as ``(offset, user_id)`` sorted so the
+        #: next one to arrive is last.
         self._arrivals: list = []
 
     @property
@@ -69,45 +69,27 @@ class PoissonWorkload:
         if self.started:
             raise RuntimeError("workload already started")
         self.started = True
-        # Accept stays eager and in user order: DoubleFace assigns
-        # reactors round-robin by accept order, and the thread-based
-        # server starts one thread per accepted connection at t=0.  The
-        # first-arrival offsets desynchronise session starts across one
-        # full think period.
+        # The first-arrival offsets desynchronise session starts across
+        # one full think period.
         think_rng = self._think_rng
-        arrivals = [(think_rng.random() * self.think_time_mean, user_id,
-                     self.server.accept_client())
+        arrivals = [(think_rng.random() * self.think_time_mean, user_id)
                     for user_id in range(self.users)]
-        # user_id is unique, so equal offsets launch in user order and
-        # connections are never compared.
+        # user_id is unique, so equal offsets launch in user order.
         arrivals.sort(reverse=True)
         self._arrivals = arrivals
         self.sim.call_at(arrivals[-1][0], self._arrive)
 
     def _arrive(self, _arg) -> None:
-        """Build the next user, start its loop and book the arrival
-        after it, at the exact drawn offset."""
+        """Accept the next user's connection, send its first request and
+        book the arrival after it, at the exact drawn offset."""
         arrivals = self._arrivals
-        _offset, user_id, conn = arrivals.pop()
-        inbox = Queue(self.sim)
-        conn.attach("a", QueueEndpoint(inbox))
-        self.sim.process(self._user_loop(conn, inbox),
-                         name=f"{self.name}-user-{user_id}")
+        _offset, user_id = arrivals.pop()
+        ClientUser(self, self.server.accept_client(user_id)).send()
         if arrivals:
             self.sim.call_at(arrivals[-1][0], self._arrive)
 
-    def _user_loop(self, conn, inbox: Queue):
-        while True:
-            request = self.profile.make_request(self._rng)
-            tracer = self.sim.tracer
-            if tracer is not None and tracer.sample():
-                request.trace = tracer.begin(request.klass, self.sim.now)
-            request.sent_at = self.sim.now
-            # Thread-less send never yields: transmit directly.
-            conn.transmit(request, request.wire_size, "b")
-            response = yield inbox.get()
-            if not isinstance(response, HttpResponse):
-                raise TypeError(f"client received non-response: {response!r}")
-            self._record(request, response)
-            yield self.sim.timeout(
-                self._think_rng.expovariate(1.0 / self.think_time_mean))
+    def _respond(self, user: ClientUser, response: HttpResponse) -> None:
+        self._record(user.request, response)
+        self.sim.call_later(
+            self._think_rng.expovariate(1.0 / self.think_time_mean),
+            ClientUser.send, user)

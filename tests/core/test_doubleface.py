@@ -47,8 +47,16 @@ class TestDoubleFaceServer:
         sim, metrics, params, rng, server = build(reactors=3)
         drive(server, sim, metrics, params, rng, concurrency=7)
         counts = [r.upstream_count for r in server.reactors]
-        assert sum(counts) == 7
-        assert max(counts) - min(counts) <= 1  # round-robin
+        assert counts == [3, 2, 2]  # round-robin by client ordinal
+
+    def test_reactor_follows_client_ordinal_not_accept_order(self):
+        """Client k lands on reactor k mod N whenever it connects."""
+        _sim, _metrics, _params, _rng, server = build(reactors=3)
+        for client in (4, 0, 5, 2, 1, 3):
+            conn = server.accept_client(client)
+            assert (conn.endpoint_b.channel.selector
+                    is server.reactors[client % 3].selector)
+        assert [r.upstream_count for r in server.reactors] == [2, 2, 2]
 
     def test_each_reactor_has_private_downstream_conns(self):
         sim, metrics, params, rng, server = build(reactors=2, n_shards=4)

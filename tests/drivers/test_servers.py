@@ -17,10 +17,22 @@ from repro.datastore.cluster import DatastoreCluster
 from repro.messages import HttpRequest
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
+from repro.sim.network import Endpoint
 from repro.sim.params import CostParams
 from repro.sim.rng import RngStreams
 from repro.workload.closed_loop import ClosedLoopWorkload
 from repro.workload.profiles import uniform_profile
+
+
+class _Sink(Endpoint):
+    """Puts every delivered message on a plain queue."""
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def deliver(self, message):
+        self.queue.put(message)
+
 
 SERVER_CLASSES = [ThreadBasedServer, Type1AsyncServer, AioBackendServer,
                   NettyBackendServer]
@@ -92,11 +104,10 @@ class TestAllServers:
         cluster = DatastoreCluster(sim, metrics, params, rng, n_shards=4)
         server = server_cls(sim, metrics, params, cluster, rng)
         server.start()
-        conn = server.accept_client()
-        from repro.sim.network import QueueEndpoint
+        conn = server.accept_client(0)
         from repro.sim.resources import Queue
         inbox = Queue(sim)
-        conn.attach("a", QueueEndpoint(inbox))
+        conn.attach("a", _Sink(inbox))
 
         request = HttpRequest(fanout=4, response_size=250)
 

@@ -174,11 +174,16 @@ class TestExhibitRun:
         """An exhibit whose config blows up inside a worker must fail
         the whole batch with the original error chained — not hang the
         shared pool in close()/join() behind queued points."""
-        from repro.experiments import figures
+        from repro.experiments import config, figures
 
         def render(pairs, quick):
             raise AssertionError("unreachable: the worker raised")
 
+        # Construction would reject the unknown override here; switch
+        # the check off in this process so the point fails in the
+        # worker, inside CostParams.with_overrides.
+        monkeypatch.setattr(config, "_check_param_overrides",
+                            lambda overrides: None)
         poisoned = figures.Exhibit(
             lambda quick, seed: [("only", _tiny_config(
                 seed, params={"no_such_param": 1}))], render)

@@ -63,6 +63,19 @@ class TestExperimentConfig:
         hbase = build_params(ExperimentConfig(datastore="hbase"))
         assert hbase.point_lookup_mean > mongo.point_lookup_mean
 
+    # One case each: quantum=0 hung run_experiment, quantum=nan returned
+    # a result, shard_concurrency=0 completed nothing, and an unknown
+    # name failed only at run time, inside a pool worker.
+    @pytest.mark.parametrize("overrides, message", [
+        ({"quantum": 0}, "must be > 0"),
+        ({"quantum": math.nan}, "finite"),
+        ({"shard_concurrency": 0}, "must be > 0"),
+        ({"no_such_param": 1}, "unknown CostParams field"),
+    ])
+    def test_bad_param_overrides_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(params=overrides)
+
     def test_pool_size_plumbing(self):
         params = build_params(ExperimentConfig(
             params={"type1_pool_size": 8, "aio_pool_max": 9}))

@@ -87,12 +87,15 @@ class TestParallelDeterminism:
 
 
 def _poisoned_config():
-    """A config that constructs fine but blows up inside the worker:
-    ``params`` overrides are applied via ``CostParams.with_overrides``
-    at run time, so an unknown field name raises there, not here."""
-    return ExperimentConfig(server="doubleface", concurrency=4, fanout=3,
-                            response_size=100, warmup=0.2, duration=0.4,
-                            seed=7, params={"no_such_param": 1})
+    """A config that passes validation but blows up inside the worker:
+    ``params`` overrides are checked at construction, so an unknown
+    field name set afterwards reaches ``CostParams.with_overrides`` and
+    raises there, at run time."""
+    config = ExperimentConfig(server="doubleface", concurrency=4, fanout=3,
+                              response_size=100, warmup=0.2, duration=0.4,
+                              seed=7)
+    config.params = {"no_such_param": 1}
+    return config
 
 
 class TestBatchExecutorErrorPaths:

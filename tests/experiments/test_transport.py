@@ -156,8 +156,9 @@ class TestPooledEquivalence:
     def test_batch_executor_error_path_raises(self):
         """A point that fails in a worker surfaces its own exception,
         and the context exit tears the pool down instead of hanging."""
-        poisoned = dataclasses.replace(_grid()[0],
-                                       params={"no_such_param": 1})
+        # Set after validation, so it raises in the worker instead.
+        poisoned = dataclasses.replace(_grid()[0])
+        poisoned.params = {"no_such_param": 1}
         with pytest.raises(TypeError):
             with BatchExecutor(jobs=2) as executor:
                 executor.run([poisoned])

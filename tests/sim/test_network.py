@@ -5,10 +5,20 @@ import pytest
 from repro.sim.cpu import Cpu
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
-from repro.sim.network import Connection, InboxEndpoint, QueueEndpoint
+from repro.sim.network import Connection, Endpoint, InboxEndpoint
 from repro.sim.params import CostParams
 from repro.sim.resources import Queue
 from repro.sim.threads import SimThread
+
+
+class _Sink(Endpoint):
+    """Puts every delivered message on a plain queue."""
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def deliver(self, message):
+        self.queue.put(message)
 
 
 @pytest.fixture
@@ -25,7 +35,7 @@ class TestConnection:
         sim, metrics, params, cpu = env
         inbox = Queue(sim)
         conn = Connection(sim, metrics, params, latency=1e-3)
-        conn.attach("b", QueueEndpoint(inbox))
+        conn.attach("b", _Sink(inbox))
 
         def proc():
             yield from conn.send(None, "hello", 125_000, to_side="b")
@@ -44,7 +54,7 @@ class TestConnection:
         thread = SimThread(cpu)
         inbox = Queue(sim)
         conn = Connection(sim, metrics, params)
-        conn.attach("b", QueueEndpoint(inbox))
+        conn.attach("b", _Sink(inbox))
 
         def proc():
             yield from conn.send(thread, "x", 10, to_side="b")
@@ -58,7 +68,7 @@ class TestConnection:
         sim, metrics, params, cpu = env
         inbox = Queue(sim)
         conn = Connection(sim, metrics, params)
-        conn.attach("b", QueueEndpoint(inbox))
+        conn.attach("b", _Sink(inbox))
 
         def proc():
             yield from conn.send(None, "x", 10, to_side="b")
@@ -82,14 +92,14 @@ class TestConnection:
         sim, metrics, params, _cpu = env
         conn = Connection(sim, metrics, params)
         with pytest.raises(ValueError):
-            conn.attach("c", QueueEndpoint(Queue(sim)))
+            conn.attach("c", _Sink(Queue(sim)))
 
     def test_bidirectional(self, env):
         sim, metrics, params, _cpu = env
         qa, qb = Queue(sim), Queue(sim)
         conn = Connection(sim, metrics, params)
-        conn.attach("a", QueueEndpoint(qa))
-        conn.attach("b", QueueEndpoint(qb))
+        conn.attach("a", _Sink(qa))
+        conn.attach("b", _Sink(qb))
 
         def proc():
             yield from conn.send(None, "to-b", 10, to_side="b")
@@ -106,7 +116,7 @@ class TestConnection:
         sim, metrics, params, _cpu = env
         inbox = Queue(sim)
         conn = Connection(sim, metrics, params)
-        conn.attach("b", QueueEndpoint(inbox))
+        conn.attach("b", _Sink(inbox))
 
         def proc():
             yield from conn.send(None, "x", 100, to_side="b")
@@ -121,7 +131,7 @@ class TestConnection:
         sim, metrics, params, _cpu = env
         inbox = Queue(sim)
         conn = Connection(sim, metrics, params)
-        conn.attach("b", QueueEndpoint(inbox))
+        conn.attach("b", _Sink(inbox))
 
         def proc():
             for i in range(5):

@@ -135,9 +135,11 @@ class TestOpenLoop:
                                    rng_streams=RngStreams(1))
         workload._think_rng = ScriptedThink([0.5, 0.25, 0.5, 0.25])
         workload.start()
-        assert [conn.endpoint_a for conn in server.conns] == [None] * 4
+        assert server.conns == []  # accepted at first arrival, not here
         sim.run(until=0.75)
         assert server.sent == [(0.25, 1), (0.25, 3), (0.5, 0), (0.5, 2)]
+        assert [conn.user_id for conn in server.conns] == [1, 3, 0, 2]
+        assert all(conn.endpoint_a is not None for conn in server.conns)
 
     def test_sparse_population_point_is_pinned(self):
         """Most of the 2,000 users are due after this point ends; the
@@ -185,14 +187,14 @@ class RecordingConn:
 
 
 class RecordingServer:
-    """Accepts connections that log (time, user) for every send."""
+    """Accepts connections that log (time, client) for every send."""
 
     def __init__(self, sim):
         self.sim = sim
         self.conns = []
         self.sent = []
 
-    def accept_client(self):
-        conn = RecordingConn(self.sim, len(self.conns), self.sent)
+    def accept_client(self, client):
+        conn = RecordingConn(self.sim, client, self.sent)
         self.conns.append(conn)
         return conn
