@@ -162,6 +162,12 @@ class ExperimentConfig:
             raise ValueError("cross_rack_extra_latency must be >= 0")
         if not 0.0 < self.trace_sample <= 1.0:
             raise ValueError("trace_sample must be in (0, 1]")
+        for name in ("reactors", "backend_reactors"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
         _check_param_overrides(self.params)
         if not self.label:
             self.label = self.server

@@ -29,16 +29,26 @@ slices, contended or not.
 A job costs one scheduler frame at each end.  ``_slice_done`` is the
 whole slice end: the charge, then the job's next slice, or its
 completion step (waiters resume, then the core's decision, including
-the push of a continuing thread's next slice).  ``execute`` books a
-same-instant continuation (the thread still holds its core and has no
-job queued, the common case) itself, without ``_submit``.
+a continuing thread's next slice).  It is also a loop over back-to-back
+slice ends: whenever the entry ``Simulator.run`` would dispatch next is
+another slice end of this CPU, due within the run's bound, it pops that
+entry and runs it in place, and a continuing thread's next slice that
+ends before everything queued is never pushed at all.  ``execute``
+books a same-instant continuation (the thread still holds its core and
+has no job queued, the common case) itself, without ``_submit``.
+
+The scheduler's per-thread state (queued jobs, run-queue flag, current
+and last core) lives on the :class:`~repro.sim.threads.SimThread`
+itself; a thread belongs to the one ``Cpu`` it was made for.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
-from heapq import heappush
-from typing import Deque, Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Deque, List, Optional
 
 from .kernel import Event, Simulator
 from .metrics import CpuCharger, Metrics
@@ -49,6 +59,9 @@ __all__ = ["Cpu"]
 #: Remaining-work amounts below this are treated as complete (avoids
 #: floating-point dust creating extra slices).
 _EPSILON = 1.0e-12
+
+#: Stands in for the head of an empty heap: due never, not a slice.
+_NO_ENTRY = (math.inf, 0, None, None)
 
 
 class _Job(Event):
@@ -78,23 +91,6 @@ class _Job(Event):
         self.preempted_at_busy = None
 
 
-class _ThreadState:
-    """Scheduler-side state of one thread (runnable while ``jobs`` is
-    non-empty)."""
-
-    __slots__ = ("thread", "jobs", "queued", "running_on", "last_core")
-
-    def __init__(self, thread) -> None:
-        self.thread = thread
-        self.jobs: Deque[_Job] = deque()
-        #: True while sitting in the run queue.
-        self.queued = False
-        #: The core currently running this thread, if any.
-        self.running_on: Optional["_Core"] = None
-        #: Core this thread last ran on (scheduler affinity hint).
-        self.last_core: Optional["_Core"] = None
-
-
 class _Core:
     __slots__ = ("last_thread", "stint_used")
 
@@ -119,8 +115,9 @@ class Cpu:
             raise ValueError("a CPU needs at least one core")
         self.cores: List[_Core] = [_Core() for _ in range(n_cores)]
         self._idle: Deque[_Core] = deque(self.cores)
-        self._run_queue: Deque[_ThreadState] = deque()
-        self._states: Dict[int, _ThreadState] = {}
+        self._run_queue: Deque = deque()
+        #: Default names of unnamed threads: ``thread-1``, ``thread-2``, …
+        self._thread_numbers = itertools.count(1)
         # Time-weighted load tracking (runnable + running threads).
         self._load_integral = 0.0
         self._load_last_t = 0.0
@@ -132,6 +129,10 @@ class Cpu:
         self._acct = metrics.cpu
         self._chargers = metrics.cpu._chargers
         self._quantum = params.quantum
+        #: The bound ``_slice_done``, made once: every slice entry
+        #: carries this one object, so ``_slice_done`` can tell its own
+        #: entries at the heap head by identity.
+        self._slice_done_cb = self._slice_done
 
     # -- load bookkeeping -------------------------------------------------
 
@@ -139,12 +140,6 @@ class Cpu:
     def runnable_count(self) -> int:
         """Threads currently runnable or running (Fig. 9 metric)."""
         return self._load_current
-
-    def _load_delta(self, delta: int) -> None:
-        now = self.sim.now
-        self._load_integral += self._load_current * (now - self._load_last_t)
-        self._load_last_t = now
-        self._load_current += delta
 
     def load_snapshot(self) -> float:
         """Load integral up to now (for windowed averages)."""
@@ -161,13 +156,14 @@ class Cpu:
         """Request *amount* seconds of CPU for *thread*.
 
         Returns the job, an event that triggers when the work has been
-        executed.
+        executed.  *thread* must belong to this CPU.
         """
         if not (amount >= 0):  # also rejects NaN
             raise ValueError("cannot execute negative work")
-        state = self._states.get(thread.tid)
-        if state is not None and state.running_on is not None \
-                and not state.jobs:
+        if thread.cpu is not self:
+            raise ValueError(f"{thread!r} belongs to CPU "
+                             f"{thread.cpu.name!r}, not {self.name!r}")
+        if thread.running_on is not None and not thread.jobs:
             # Same-instant continuation: the thread just finished a job
             # and still holds its core, which picks the new job up when
             # the completion step decides.  This is _submit's
@@ -177,7 +173,7 @@ class Cpu:
             charger = (self._chargers.get(category)
                        or self._acct.charger(category))
             job = _Job(self.sim, amount, charger)
-            state.jobs.append(job)
+            thread.jobs.append(job)
             now = self.sim.now
             if now != self._load_last_t:
                 self._load_integral += self._load_current * (
@@ -185,24 +181,18 @@ class Cpu:
                 self._load_last_t = now
             self._load_current += 1
             return job
-        if amount == 0.0 and self._try_zero_fast_path(thread, category):
-            return Event(self.sim).succeed()
         charger = self._chargers.get(category) or self._acct.charger(category)
         job = _Job(self.sim, amount, charger)
         self._submit(thread, job)
         return job
 
     def _submit(self, thread, job: _Job) -> None:
-        state = self._states.get(thread.tid)
-        if state is None:
-            state = _ThreadState(thread)
-            self._states[thread.tid] = state
-        jobs = state.jobs
+        jobs = thread.jobs
         was_idle = not jobs
         jobs.append(job)
         if was_idle:
-            # Thread just became runnable: load integral as in
-            # _load_delta(+1), same float expression.  It is off-core
+            # Thread just became runnable: advance the load integral to
+            # now, then count it runnable.  It is off-core
             # (execute books a continuation on a held core itself) and
             # not queued (a queued thread has a job), so enqueue or
             # dispatch it now.
@@ -214,71 +204,30 @@ class Cpu:
             if self._idle:
                 # Wake-up affinity: prefer the core this thread last ran
                 # on (its cache lines may still be warm there).
-                core = state.last_core
+                core = thread.last_core
                 if core is not None and core in self._idle:
                     self._idle.remove(core)
                 else:
                     core = self._idle.popleft()
-                self._start_stint(core, state)
+                self._start_stint(core, thread)
             else:
-                state.queued = True
-                self._run_queue.append(state)
-
-    def _try_zero_fast_path(self, thread, category: str) -> bool:
-        """Complete zero-length work at this instant, skipping the queue.
-
-        Only applies when the scheduled path would have produced the
-        same accounting: the thread must be idle, an idle core must be
-        available, and the core the affinity rule would pick must not
-        owe a context switch (its last thread was this one, or none).
-        Otherwise the caller falls through to the scheduled path, which
-        charges the context switch exactly as before.
-        """
-        if not self._idle:
-            return False
-        state = self._states.get(thread.tid)
-        if state is None:
-            state = _ThreadState(thread)
-            self._states[thread.tid] = state
-        elif state.jobs or state.running_on is not None or state.queued:
-            return False
-        core = state.last_core
-        affine = core is not None and core in self._idle
-        if not affine:
-            core = self._idle[0]
-        if core.last_thread is not None and core.last_thread is not thread:
-            return False
-        # Replicate the scheduled path's side effects in its exact
-        # order: both load deltas stay (they pin the load integral's
-        # float association), the idle deque rotates the same way, and
-        # the zero charge still links the category handle.
-        self._load_delta(+1)
-        if affine:
-            self._idle.remove(core)
-        else:
-            self._idle.popleft()
-        state.last_core = core
-        core.last_thread = thread
-        core.stint_used = 0.0
-        self.metrics.cpu.charger(category).add(0.0)
-        self._load_delta(-1)
-        self._idle.append(core)
-        return True
+                thread.queued = True
+                self._run_queue.append(thread)
 
     # -- core machinery ----------------------------------------------------
 
-    def _start_stint(self, core: _Core, state: _ThreadState) -> None:
+    def _start_stint(self, core: _Core, thread) -> None:
         core.stint_used = 0.0
-        state.running_on = core
-        state.last_core = core
+        thread.running_on = core
+        thread.last_core = core
         overhead = 0.0
-        if core.last_thread is not None and core.last_thread is not state.thread:
+        if core.last_thread is not None and core.last_thread is not thread:
             # Direct cost plus the indirect cache/TLB refill cost, which
             # grows with the number of threads sharing the caches.
             pressure = min(1.0, self._load_current / self.params.ctx_cache_threads)
             overhead = (self.params.ctx_switch_cost
                         + self.params.ctx_cache_penalty * pressure)
-            job = state.jobs[0]
+            job = thread.jobs[0]
             if job.preempted_at_busy is not None:
                 # Resuming a half-done job: refill its working set.  The
                 # refill is proportional to the work already performed
@@ -297,12 +246,12 @@ class Cpu:
                 job.preempted_at_busy = None
             self._ctx_counter.add()
             self._ctx_charger.add(overhead)
-        core.last_thread = state.thread
-        self._run_slice(core, state, overhead)
+        core.last_thread = thread
+        self._run_slice(core, thread, overhead)
 
-    def _run_slice(self, core: _Core, state: _ThreadState,
+    def _run_slice(self, core: _Core, thread,
                    extra_delay: float = 0.0) -> None:
-        job = state.jobs[0]
+        job = thread.jobs[0]
         remaining = job.remaining
         quantum = self._quantum
         quantum_left = quantum - core.stint_used
@@ -319,106 +268,156 @@ class Cpu:
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         heappush(sim._queue, (sim.now + (extra_delay + slice_len), seq,
-                              self._slice_done, (core, state, job, slice_len)))
+                              self._slice_done_cb,
+                              (core, thread, job, slice_len)))
 
-    def _slice_done(self, args) -> None:
-        """End of a slice, one frame: the charge, then either the job's
-        next slice or its completion step."""
-        core, state, job, slice_len = args
-        # The charge, as job.charger.add(slice_len): the first charge
-        # of a category links its handle into the accounting's order.
-        charger = job.charger
-        acct = self._acct
-        if not charger._linked:
-            charger._linked = True
-            acct._order.append(charger)
-        charger.value += slice_len
-        acct.total_busy_ever += slice_len
-        core.stint_used += slice_len
-        job.remaining = remaining = job.remaining - slice_len
-        if remaining > _EPSILON:
-            # Quantum expired mid-job: preempt if someone is waiting.
-            if self._run_queue:
-                self._preempt(core, state)
-            else:
-                core.stint_used = 0.0
-                self._run_slice(core, state)
-            return
+    def _slice_done(self, args, queued_step: bool = False) -> None:
+        """End of a slice: the charge, then either the job's next slice
+        or its completion step; then, in place, every slice end of this
+        CPU that the run loop would dispatch next.
+
+        *args* is the slice entry's ``(core, thread, job, slice_len)``.
+        With *queued_step* the slice was already charged and the job
+        completed, and only its completion step (``_finish``) is left.
+
+        Each pass ends in *tail position*: the caller returns straight
+        to the run loop, as for ``Simulator._due_now``.  So when the
+        heap head is one of this CPU's slice entries, due within the
+        run's bound (``Simulator._bound``, ``-inf`` outside ``run``),
+        the loop would pop it next: the pass pops it, sets ``now``,
+        counts it and goes round again.  A continuing thread's next
+        slice that ends strictly before the head (and within the bound)
+        is not pushed at all: it would be the head.  Its ``seq`` is
+        still taken, so every later entry's ``seq`` is unchanged.
+        """
         sim = self.sim
-        # Job complete: let the owning process react (it may issue its
-        # next work request at once), then decide what this core does.
-        jobs = state.jobs
-        jobs.popleft()
-        if not jobs:
-            # As _load_delta(-1), same float expression.
-            now = sim.now
-            self._load_integral += self._load_current * (
-                now - self._load_last_t)
-            self._load_last_t = now
-            self._load_current -= 1
-        # One kernel step (_finish) replaces job.succeed() plus a
-        # zero-delay decision entry: those two shared a time and had
-        # adjacent seqs, so they always dispatched back to back.  This
-        # is a dispatched callback that returns right after the step, so
-        # when nothing else is due now the step runs here, written out;
-        # the loop would have dispatched it next.
-        job.triggered = True
-        if not sim._due_now():
-            sim._event_count += 1
-            callbacks = job.callbacks
-            job.callbacks = None
-            job.processed = True
-            for callback in callbacks:
-                callback(job)
-            if not jobs:
-                # The thread blocked or finished: release the core.
-                state.running_on = None
-                self._next_thread(core)
-            elif core.stint_used < self._quantum or not self._run_queue:
-                # The thread continued: _run_slice, written out.  Its
-                # time `now + (0.0 + slice_len)` is `now + slice_len`
-                # (they differ only in the sign of a zero slice, and
-                # `now + -0.0 == now + 0.0`).
-                job = jobs[0]
-                remaining = job.remaining
-                quantum = self._quantum
-                quantum_left = quantum - core.stint_used
-                if quantum_left > 0.0 and remaining > 0.0:
-                    slice_len = (quantum_left if quantum_left < remaining
-                                 else remaining)
+        queue = sim._queue
+        bound = sim._bound
+        slice_done = self._slice_done_cb
+        acct = self._acct
+        quantum = self._quantum
+        run_queue = self._run_queue
+        core, thread, job, slice_len = args
+        # Events run here, added to the kernel's count on the way out
+        # (also if a callback raises, as the run loop does).
+        count = 0
+        try:
+            while True:
+                if queued_step:
+                    queued_step = False
+                    jobs = thread.jobs
+                    step = True
                 else:
-                    slice_len = quantum if quantum < remaining else remaining
-                    core.stint_used = 0.0
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._queue, (sim.now + slice_len, seq,
-                                      self._slice_done,
-                                      (core, state, job, slice_len)))
-            else:
-                self._preempt(core, state)
-            return
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim.now, seq, self._finish, (core, state, job)))
+                    # The charge, as job.charger.add(slice_len): the
+                    # first charge of a category links its handle into
+                    # the accounting's order.
+                    charger = job.charger
+                    if not charger._linked:
+                        charger._linked = True
+                        acct._order.append(charger)
+                    charger.value += slice_len
+                    acct.total_busy_ever += slice_len
+                    core.stint_used += slice_len
+                    job.remaining = remaining = job.remaining - slice_len
+                    if remaining > _EPSILON:
+                        # Quantum expired mid-job: preempt if someone is
+                        # waiting, else go on with a fresh stint.
+                        step = False
+                        if run_queue:
+                            self._preempt(core, thread)
+                            job = None
+                        else:
+                            core.stint_used = 0.0
+                    else:
+                        # Job complete: let the owning process react (it
+                        # may issue its next work request at once), then
+                        # decide what this core does.
+                        jobs = thread.jobs
+                        jobs.popleft()
+                        if not jobs:
+                            # The thread blocks: advance the load
+                            # integral to now, then count it off the CPU.
+                            now = sim.now
+                            self._load_integral += self._load_current * (
+                                now - self._load_last_t)
+                            self._load_last_t = now
+                            self._load_current -= 1
+                        # One kernel step replaces job.succeed() plus a
+                        # zero-delay decision entry: those two shared a
+                        # time and had adjacent seqs, so they always
+                        # dispatched back to back.  When nothing else is
+                        # due now the step runs here (the loop would have
+                        # dispatched it next); otherwise it is queued as
+                        # _finish.
+                        job.triggered = True
+                        step = not sim._due_now()
+                        if step:
+                            count += 1
+                        else:
+                            sim._seq = seq = sim._seq + 1
+                            heappush(queue, (sim.now, seq, self._finish,
+                                             (core, thread, job, slice_len)))
+                            job = None
+                if step:
+                    callbacks = job.callbacks
+                    job.callbacks = None
+                    job.processed = True
+                    for callback in callbacks:
+                        callback(job)
+                    if not jobs:
+                        # The thread blocked or finished: release the
+                        # core.
+                        thread.running_on = None
+                        self._next_thread(core)
+                        job = None
+                    elif core.stint_used < quantum or not run_queue:
+                        # The thread continued (issued more work in the
+                        # same instant).
+                        job = jobs[0]
+                    else:
+                        self._preempt(core, thread)
+                        job = None
+                if job is not None:
+                    # The thread's next slice: _run_slice, written out.
+                    # Its time `now + (0.0 + slice_len)` is `now +
+                    # slice_len` (they differ only in the sign of a zero
+                    # slice, and `now + -0.0 == now + 0.0`).
+                    remaining = job.remaining
+                    quantum_left = quantum - core.stint_used
+                    if quantum_left > 0.0 and remaining > 0.0:
+                        slice_len = (quantum_left if quantum_left < remaining
+                                     else remaining)
+                    else:
+                        slice_len = quantum if quantum < remaining else remaining
+                        core.stint_used = 0.0
+                    when = sim.now + slice_len
+                    sim._seq = seq = sim._seq + 1
+                    head = queue[0] if queue else _NO_ENTRY
+                    if when < head[0] and when <= bound:
+                        sim.now = when
+                        count += 1
+                        continue
+                    # Pushed at or after the head, which stays the head,
+                    # or past the bound, and then so is the head.
+                    heappush(queue, (when, seq, slice_done,
+                                     (core, thread, job, slice_len)))
+                else:
+                    head = queue[0] if queue else _NO_ENTRY
+                if head[2] is slice_done and head[0] <= bound:
+                    heappop(queue)
+                    sim.now = head[0]
+                    count += 1
+                    core, thread, job, slice_len = head[3]
+                    continue
+                return
+        finally:
+            sim._event_count += count
 
     def _finish(self, args) -> None:
-        """Queued completion step of a job: process its event (its
-        waiters resume), then decide what the core does next.  ``_slice_done`` runs the same step in place when
-        nothing else is due."""
-        core, state, job = args
-        callbacks = job.callbacks
-        job.callbacks = None
-        job.processed = True
-        for callback in callbacks:
-            callback(job)
-        if state.jobs:
-            # The thread continued (issued more work in the same instant).
-            if core.stint_used < self._quantum or not self._run_queue:
-                self._run_slice(core, state)
-            else:
-                self._preempt(core, state)
-        else:
-            # The thread blocked or finished: release the core.
-            state.running_on = None
-            self._next_thread(core)
+        """Queued completion step of a job (*args* is its last slice's
+        entry): its waiters resume, then the core decides, on
+        ``_slice_done``'s one decision path."""
+        self._slice_done(args, True)
 
     def _coalesce_stint(self, *args) -> None:
         """Nothing calls this: every job runs as ``_slice_done`` slices.
@@ -431,15 +430,15 @@ class Cpu:
 
     # -- preemption / dispatch ---------------------------------------------
 
-    def _preempt(self, core: _Core, state: _ThreadState) -> None:
-        state.running_on = None
-        state.queued = True
-        if state.jobs:
+    def _preempt(self, core: _Core, thread) -> None:
+        thread.running_on = None
+        thread.queued = True
+        if thread.jobs:
             # The in-progress job may lose its cache lines to whoever
             # runs next; it pays a refill when resumed.
-            state.jobs[0].preempted_at_busy = (
+            thread.jobs[0].preempted_at_busy = (
                 self.metrics.cpu.total_busy_ever)
-        self._run_queue.append(state)
+        self._run_queue.append(thread)
         self._next_thread(core)
 
     def _next_thread(self, core: _Core) -> None:
@@ -449,20 +448,20 @@ class Cpu:
         # affinity must not defeat round-robin fairness.
         queue = self._run_queue
         for offset in range(min(len(queue), 4)):
-            state = queue[offset]
-            if not state.jobs:
+            thread = queue[offset]
+            if not thread.jobs:
                 continue
-            if state.last_core is core:
+            if thread.last_core is core:
                 del queue[offset]
-                state.queued = False
-                self._start_stint(core, state)
+                thread.queued = False
+                self._start_stint(core, thread)
                 return
-            if state.last_core is None:
+            if thread.last_core is None:
                 break
         while queue:
-            state = queue.popleft()
-            state.queued = False
-            if state.jobs:
-                self._start_stint(core, state)
+            thread = queue.popleft()
+            thread.queued = False
+            if thread.jobs:
+                self._start_stint(core, thread)
                 return
         self._idle.append(core)

@@ -46,6 +46,13 @@ the head is the next entry and a callback can ask whether anything else
 is due at ``now`` (``Simulator._due_now``).  Cancelled :class:`Timeout`
 entries (``callbacks is None``) stay in the heap and are skipped at
 dispatch without counting.
+
+While :meth:`Simulator.run` is active its bound is ``Simulator._bound``
+(``-inf`` otherwise).  A callback in tail position may use it to run
+entries the loop would dispatch next itself: ``Cpu._slice_done`` pops
+its own due slice ends from the head, or never pushes a next slice that
+would be the head, counting each in ``_event_count`` as the loop would.
+:meth:`Simulator.step` dispatches one entry and nothing in place.
 """
 
 from __future__ import annotations
@@ -373,7 +380,7 @@ class Simulator:
     """
 
     __slots__ = ("_seq", "now", "_event_count", "tracer", "_queue",
-                 "_null_event")
+                 "_null_event", "_bound")
 
     def __init__(self) -> None:
         self._seq = 0
@@ -387,6 +394,9 @@ class Simulator:
         #: Pending entries, a heap ordered by ``(time, seq)``.
         self._queue: List[Any] = []
         self._null_event = Event(self)
+        #: The active :meth:`run`'s bound (``-inf`` outside ``run``): an
+        #: entry due at or before it is one ``run`` would dispatch.
+        self._bound = -math.inf
 
     # -- factory helpers ------------------------------------------------
 
@@ -489,7 +499,7 @@ class Simulator:
         dispatched that entry next.
         """
         queue = self._queue
-        return bool(queue) and queue[0][0] <= self.now
+        return queue[0][0] <= self.now if queue else False
 
     # -- execution --------------------------------------------------------
 
@@ -545,9 +555,11 @@ class Simulator:
         # One loop for both modes (bound = +inf drains the queue).  Each
         # entry is popped before its callback runs, so callbacks can ask
         # _due_now(); _event_count is settled in `finally` so a raising
-        # callback can't lose the count.
+        # callback can't lose the count.  _bound lets a tail-position
+        # callback run further due entries itself (Cpu._slice_done).
         queue = self._queue
         count = 0
+        self._bound = bound
         try:
             while queue:
                 when = queue[0][0]
@@ -575,5 +587,6 @@ class Simulator:
                     item[2](item[3])
         finally:
             self._event_count += count
+            self._bound = -math.inf
         if until is not None:
             self.now = until

@@ -29,26 +29,34 @@ from .resources import Queue, QueueTimeout, queue_get_with_timeout
 
 __all__ = ["SimThread", "Mutex", "locked_section", "FixedPool", "OnDemandPool"]
 
-_thread_ids = itertools.count(1)
-
 #: A pool task: a callable taking the worker thread and returning a
 #: generator to be driven with ``yield from``.
 Task = Callable[["SimThread"], Generator]
 
 
 class SimThread:
-    """Identity of a simulated OS thread.
+    """A simulated OS thread, and its CPU's scheduler record.
 
-    A thread is a token: code *runs as* a thread by passing it to
-    ``cpu.execute``; blocking is simply not having a job queued.
+    Code *runs as* a thread by passing it to ``cpu.execute``; blocking
+    is simply not having a job queued.  The thread belongs to one
+    :class:`Cpu`, whose scheduler keeps its state in the last four
+    slots.
     """
 
-    __slots__ = ("name", "cpu", "tid")
+    __slots__ = ("name", "cpu", "jobs", "queued", "running_on",
+                 "last_core")
 
     def __init__(self, cpu: Cpu, name: str = "") -> None:
         self.cpu = cpu
-        self.tid = next(_thread_ids)
-        self.name = name or f"thread-{self.tid}"
+        self.name = name or f"thread-{next(cpu._thread_numbers)}"
+        #: Queued work requests; the thread is runnable while non-empty.
+        self.jobs: Deque = deque()
+        #: True while sitting in the run queue.
+        self.queued = False
+        #: The core currently running this thread, if any.
+        self.running_on = None
+        #: Core this thread last ran on (scheduler affinity hint).
+        self.last_core = None
 
     def execute(self, amount: float, category: str = "app") -> Event:
         """Shorthand for ``cpu.execute(self, amount, category)``."""

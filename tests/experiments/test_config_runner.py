@@ -76,6 +76,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(params=overrides)
 
+    # Construction only: a zero reactor count used to fail inside
+    # run_experiment, so under --jobs N it surfaced from a pool worker.
+    @pytest.mark.parametrize("server, field", [
+        ("doubleface", "reactors"),
+        ("netty", "backend_reactors"),
+    ])
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True, "2"])
+    def test_bad_reactor_counts_rejected(self, server, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer >= 1"):
+            ExperimentConfig(server=server, **{field: value})
+
     def test_pool_size_plumbing(self):
         params = build_params(ExperimentConfig(
             params={"type1_pool_size": 8, "aio_pool_max": 9}))

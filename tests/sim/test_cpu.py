@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.cpu import Cpu, _Job, _ThreadState
+from repro.sim.cpu import Cpu, _Job
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.params import CostParams
@@ -71,6 +71,22 @@ class TestBasicExecution:
         sim.run()
         assert job.triggered and job.processed and job.ok
         assert fired == [(job, 0.0025)]
+
+    def test_thread_of_another_cpu_rejected(self):
+        sim, m, cpu = make_cpu()
+        other = Cpu(sim, Metrics(), CostParams(), name="db")
+        with pytest.raises(ValueError, match="belongs to CPU 'db', not 'app'"):
+            cpu.execute(SimThread(other, "t"), 0.001)
+        sim.run()
+        assert sim.now == 0.0
+        assert m.cpu.busy_by_category["app"] == 0.0
+
+    def test_unnamed_threads_are_numbered_per_cpu(self):
+        sim, _m, cpu = make_cpu()
+        other = Cpu(sim, Metrics(), CostParams(), name="db")
+        names = [SimThread(cpu).name, SimThread(other).name,
+                 SimThread(cpu, "named").name, SimThread(cpu).name]
+        assert names == ["thread-1", "thread-1", "named", "thread-2"]
 
     def test_needs_at_least_one_core(self):
         sim = Simulator()
@@ -290,15 +306,15 @@ def test_slice_length_matches_min_max_rule(remaining, quantum, stint_used):
     metrics = Metrics()
     cpu = Cpu(sim, metrics, CostParams().with_overrides(quantum=quantum),
               cores=1)
-    state = _ThreadState(SimThread(cpu))
+    thread = SimThread(cpu)
     job = _Job(sim, remaining, metrics.cpu.charger("app"))
-    state.jobs.append(job)
+    thread.jobs.append(job)
     core = cpu.cores[0]
     core.stint_used = stint_used
-    cpu._run_slice(core, state)
+    cpu._run_slice(core, thread)
     expected_len, expected_used = _reference_slice(remaining, quantum,
                                                    stint_used)
-    (when, _seq, _fn, (_core, _state, _job, slice_len)), = sim._queue
+    (when, _seq, _fn, (_core, _thread, _job, slice_len)), = sim._queue
     assert _signed(slice_len) == _signed(expected_len)
     assert _signed(when) == _signed(0.0 + (0.0 + expected_len))
     assert _signed(core.stint_used) == _signed(expected_used)

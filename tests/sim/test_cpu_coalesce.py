@@ -166,6 +166,9 @@ class TestMidStintObservation:
 
 
 class TestZeroFastPath:
+    """Zero-length work runs on the one scheduled path: these pin its
+    load, charge and context-switch accounting."""
+
     def _run(self, with_zeros):
         sim = Simulator()
         metrics = Metrics()
@@ -210,8 +213,7 @@ class TestZeroFastPath:
 
     def test_fall_through_when_core_owes_a_switch(self):
         """When the only idle core last ran another thread, the zero
-        execute takes the scheduled path and pays the context switch,
-        exactly as before the fast path existed."""
+        execute pays the context switch like any other job."""
         sim = Simulator()
         metrics = Metrics()
         cpu = Cpu(sim, metrics, CostParams(), cores=1)

@@ -118,7 +118,9 @@ class TestScripted:
                          (3.0 * Q, "app", Q),
                          (0.0, "io", 0.0)])]
         result, tally = assert_branches_agree(script, cores=1)
-        assert tally == {"inline": 2, "queued": 0}
+        # The zero-length job is scheduled like the others (one slice,
+        # one completion step).
+        assert tally == {"inline": 3, "queued": 0}
         assert [entry[2] for entry in result["log"]] == [
             "start", "job0", "job1", "job2"]
 
